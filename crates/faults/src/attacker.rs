@@ -232,8 +232,6 @@ impl Armed {
 pub struct Attacker {
     budget: u64,
     spent: u64,
-    observed: u64,
-    last_bit: Option<u64>,
     /// Bus bit already paid for by a Flood this bit time (subsequent node
     /// views of the same flooded bit ride on the same physical pulse).
     charged_bit: Option<u64>,
@@ -246,8 +244,6 @@ impl Attacker {
         Attacker {
             budget,
             spent: 0,
-            observed: 0,
-            last_bit: None,
             charged_bit: None,
             armed: actions.into_iter().map(Armed::new).collect(),
         }
@@ -277,8 +273,6 @@ impl Attacker {
     pub fn reload(&mut self, actions: &[AttackAction], budget: u64) {
         self.budget = budget;
         self.spent = 0;
-        self.observed = 0;
-        self.last_bit = None;
         self.charged_bit = None;
         self.armed.clear();
         self.armed.extend(actions.iter().cloned().map(Armed::new));
@@ -292,11 +286,6 @@ impl Attacker {
     /// Budget units spent on effective injections so far.
     pub fn spent(&self) -> u64 {
         self.spent
-    }
-
-    /// Distinct bus bit times observed since (re)arming.
-    pub fn bits_observed(&self) -> u64 {
-        self.observed
     }
 
     /// Number of armed actions that never fired a single injection.
@@ -315,10 +304,37 @@ impl Attacker {
 }
 
 impl ChannelModel<WirePos> for Attacker {
+    fn quiet_until(&self, now: u64) -> u64 {
+        if self.spent >= self.budget {
+            return u64::MAX;
+        }
+        // A quiescent bus is recessive and its nodes report only `Idle`
+        // or `Crashed` tags: a flood strikes it from its first bit, a
+        // pulse or hammer only if it targets one of those two fields.
+        let mut horizon = u64::MAX;
+        for armed in &self.armed {
+            match armed.action {
+                AttackAction::Flood { start, len } => {
+                    if len > 0 && start.saturating_add(len) > now {
+                        horizon = horizon.min(start.max(now));
+                    }
+                }
+                AttackAction::Pulse { field, .. } | AttackAction::Hammer { field, .. } => {
+                    if matches!(field, Field::Idle | Field::Crashed) {
+                        return now;
+                    }
+                }
+            }
+        }
+        horizon
+    }
+
     fn disturb(&mut self, bit: u64, node: NodeId, tag: &WirePos, wire: Level) -> bool {
-        if self.last_bit != Some(bit) {
-            self.last_bit = Some(bit);
-            self.observed += 1;
+        // A spent budget can only ride a flood pulse already paid for on
+        // this bit; everything else is inert, position counts included,
+        // so a leap over a broke attacker's bits loses no state.
+        if self.spent >= self.budget && self.charged_bit != Some(bit) {
+            return false;
         }
         // Dominant injection is idempotent on a dominant bus: nothing to
         // change, nothing to pay. Position appearances are still not
@@ -470,7 +486,6 @@ mod tests {
         // Bit 12: window over.
         assert!(!atk.disturb(12, NodeId(0), &eof(2), Level::Recessive));
         assert_eq!(atk.spent(), 2);
-        assert_eq!(atk.bits_observed(), 4);
     }
 
     #[test]
@@ -602,7 +617,6 @@ mod tests {
         );
         assert_eq!(atk.spent(), 0);
         assert_eq!(atk.budget(), 7);
-        assert_eq!(atk.bits_observed(), 0);
         assert_eq!(atk.unfired_len(), 1);
         assert!(atk.disturb(0, NodeId(0), &eof(0), Level::Recessive));
     }
@@ -633,6 +647,61 @@ mod tests {
             .to_string(),
             "hammer n0 CRCDEL0 x12"
         );
+    }
+
+    #[test]
+    fn quiet_promise_follows_floods_idle_targets_and_the_budget() {
+        let quiet = |atk: &Attacker, now| ChannelModel::<WirePos>::quiet_until(atk, now);
+        let busoff = Attacker::from_strategy(&Strategy::BusOffAttack { victim: 0, reps: 8 }, 8);
+        assert_eq!(
+            quiet(&busoff, 10),
+            u64::MAX,
+            "a CRC-delimiter hammer waits for traffic"
+        );
+
+        let flood = Attacker::new(
+            vec![
+                AttackAction::Flood { start: 100, len: 5 },
+                AttackAction::Flood { start: 60, len: 0 },
+            ],
+            10,
+        );
+        assert_eq!(quiet(&flood, 10), 100, "up to the flood's first bit");
+        assert_eq!(quiet(&flood, 103), 103, "inside the flood");
+        assert_eq!(quiet(&flood, 105), u64::MAX, "the flood is over");
+
+        for field in [Field::Idle, Field::Crashed] {
+            let atk = Attacker::new(
+                vec![AttackAction::Pulse {
+                    node: 1,
+                    field,
+                    index: 0,
+                    occurrence: 3,
+                }],
+                1,
+            );
+            assert_eq!(quiet(&atk, 10), 10, "{field} matches a quiescent node");
+        }
+
+        let mut broke = Attacker::new(
+            vec![
+                AttackAction::Flood { start: 0, len: 50 },
+                AttackAction::Hammer {
+                    node: 0,
+                    field: Field::Idle,
+                    index: 0,
+                    reps: 9,
+                },
+            ],
+            1,
+        );
+        assert!(broke.disturb(0, NodeId(0), &eof(0), Level::Recessive));
+        assert!(
+            broke.disturb(0, NodeId(1), &eof(0), Level::Recessive),
+            "same paid bit"
+        );
+        assert!(!broke.disturb(1, NodeId(0), &eof(0), Level::Recessive));
+        assert_eq!(quiet(&broke, 1), u64::MAX, "a spent budget promises quiet");
     }
 
     #[test]

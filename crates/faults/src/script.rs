@@ -143,13 +143,6 @@ impl ScriptedFaults {
         self.pending.is_empty()
     }
 
-    /// `true` when any not-yet-fired disturbance targets `field` — the
-    /// batch engine's guard against ending a run early while a script
-    /// entry could still fire on an idle bus.
-    pub fn targets_field(&self, field: Field) -> bool {
-        self.pending.iter().any(|(d, _)| d.field == field)
-    }
-
     /// Appends `tail` to the script without touching the entries (and
     /// per-entry occurrence counts) already loaded — the fork step of the
     /// batch engine: a snapshot taken mid-run carries the shared prefix's
@@ -179,12 +172,18 @@ impl FromIterator<Disturbance> for ScriptedFaults {
 
 impl ChannelModel<WirePos> for ScriptedFaults {
     fn quiet_until(&self, now: u64) -> u64 {
-        // An exhausted script can never fire (or mutate) again; a pending
-        // entry could match any tag — including `Idle` — so no promise.
-        if self.pending.is_empty() {
-            u64::MAX
-        } else {
+        // A quiescent controller reports only `Idle` (nothing queued) or
+        // `Crashed`, so while every node is quiescent only an entry on one
+        // of those two fields can match — fire, or count an occurrence.
+        // Any other pending entry waits for traffic.
+        let idle_bus_target = self
+            .pending
+            .iter()
+            .any(|(d, _)| matches!(d.field, Field::Idle | Field::Crashed));
+        if idle_bus_target {
             now
+        } else {
+            u64::MAX
         }
     }
 
@@ -289,5 +288,23 @@ mod tests {
     fn display_is_informative() {
         let d = Disturbance::eof(1, 6);
         assert_eq!(d.to_string(), "n1 view of EOF6 (occurrence 1)");
+    }
+
+    #[test]
+    fn only_idle_bus_entries_withhold_the_quiet_promise() {
+        let quiet = |s: &ScriptedFaults| ChannelModel::<WirePos>::quiet_until(s, 40);
+        assert_eq!(quiet(&ScriptedFaults::default()), u64::MAX);
+        let frame_only = ScriptedFaults::new(vec![
+            Disturbance::eof(1, 6),
+            Disturbance::stuff_bit(0, Field::Id, 3),
+        ]);
+        assert_eq!(quiet(&frame_only), u64::MAX, "waits for traffic");
+        for field in [Field::Idle, Field::Crashed] {
+            let s = ScriptedFaults::new(vec![
+                Disturbance::eof(1, 6),
+                Disturbance::first(2, field, 0),
+            ]);
+            assert_eq!(quiet(&s), 40, "{field} matches a quiescent node");
+        }
     }
 }

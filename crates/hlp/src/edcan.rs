@@ -96,6 +96,10 @@ impl HlpLayer for EdCan {
 
     fn on_tick(&mut self, _now: u64, _self_index: usize, _actions: &mut LayerActions) {}
 
+    fn quiet_until(&self, _now: u64) -> u64 {
+        u64::MAX
+    }
+
     fn reset(&mut self) {
         self.delivered.clear();
         self.duplicated.clear();

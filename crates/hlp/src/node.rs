@@ -96,6 +96,17 @@ pub trait HlpLayer: fmt::Debug {
     /// Called once per bit time for timeout processing.
     fn on_tick(&mut self, now: u64, self_index: usize, actions: &mut LayerActions);
 
+    /// First bit time at or after `now` where [`on_tick`](HlpLayer::on_tick)
+    /// might act — the next timer deadline. Every `on_tick` call before it
+    /// must be a no-op (no state change, no actions), which is what lets
+    /// [`HlpNode::quiescent_until`](majorcan_sim::BitNode::quiescent_until)
+    /// extend its controller's promise.
+    ///
+    /// The default promises nothing (`now`), which is always sound.
+    fn quiet_until(&self, now: u64) -> u64 {
+        now
+    }
+
     /// Rewinds the layer to its freshly-constructed state (same
     /// configuration, no delivery history) so a node can be reused across
     /// independent runs.
@@ -247,6 +258,16 @@ impl<L: HlpLayer> BitNode for HlpNode<L> {
 
     fn tag(&self) -> WirePos {
         self.ctrl.tag()
+    }
+
+    fn quiescent_until(&self, now: u64) -> u64 {
+        // Host events still to flush make the next observe emit them.
+        if !self.pending.is_empty() {
+            return now;
+        }
+        self.ctrl
+            .quiescent_until(now)
+            .min(self.layer.quiet_until(now))
     }
 
     fn observe(&mut self, now: u64, seen: Level, events: &mut Vec<HlpEvent>) {

@@ -152,6 +152,14 @@ impl HlpLayer for RelCan {
         }
     }
 
+    fn quiet_until(&self, _now: u64) -> u64 {
+        self.awaiting_confirm
+            .values()
+            .map(|&(_, deadline)| deadline)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     fn reset(&mut self) {
         self.delivered.clear();
         self.awaiting_confirm.clear();

@@ -152,6 +152,14 @@ impl HlpLayer for TotCan {
         }
     }
 
+    fn quiet_until(&self, _now: u64) -> u64 {
+        self.pending
+            .values()
+            .map(|&(_, deadline)| deadline)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     fn reset(&mut self) {
         self.delivered.clear();
         self.pending.clear();

@@ -27,11 +27,16 @@ pub trait ChannelModel<Tag> {
 
     /// First bit time at or after `now` where this model might disturb a
     /// view **or** consume hidden per-bit state (e.g. a PRNG draw): for
-    /// every bit in `now..quiet_until(now)`, skipping the
-    /// [`disturb`](ChannelModel::disturb) calls entirely leaves the model
-    /// in the same state as making them, and they would all have returned
-    /// `false`. The engine's clean-stretch leap
-    /// ([`Simulator::leap`](crate::Simulator::leap)) relies on this.
+    /// every bit in `now..quiet_until(now)`, **while every node is
+    /// quiescent**, skipping the [`disturb`](ChannelModel::disturb) calls
+    /// entirely leaves the model in the same state as making them, and
+    /// they would all have returned `false`. The quiet-stretch leap in
+    /// [`Simulator::run`](crate::Simulator::run) relies on this; the
+    /// proviso mirrors the recessive-view one on
+    /// [`BitNode::quiescent_until`](crate::BitNode::quiescent_until) and
+    /// holds there because the engine only leaps when every node's
+    /// promise covers the stretch too. A model may therefore promise
+    /// quiet over bits whose tags only a busy node reports.
     ///
     /// The default promises nothing (`now`), which is always sound.
     fn quiet_until(&self, now: u64) -> u64 {

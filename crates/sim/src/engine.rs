@@ -277,9 +277,22 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     }
 
     /// Simulates `bits` bit times.
+    ///
+    /// Stretches that [`Simulator::quiet_horizon`] proves inert are leapt
+    /// in one clock update instead of being stepped bit by bit, so a run
+    /// that settles early (every node idle or crashed, the channel quiet)
+    /// costs time proportional to its busy bits, not to `bits`. The leap
+    /// is bit-identical to stepping: state, events and timestamps are
+    /// unchanged, and the clock still ends at `now + bits`.
     pub fn run(&mut self, bits: u64) {
-        for _ in 0..bits {
-            self.step();
+        let end = self.now.saturating_add(bits);
+        while self.now < end {
+            let horizon = self.quiet_horizon();
+            if horizon > self.now {
+                self.now = horizon.min(end);
+            } else {
+                self.step();
+            }
         }
     }
 
@@ -288,39 +301,29 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     /// and every node's [`quiescent_until`](BitNode::quiescent_until).
     /// Every bit in `now..quiet_horizon()` is a guaranteed no-op round —
     /// all nodes drive recessive, no view is disturbed, no state changes,
-    /// no events — so [`Simulator::leap`] may skip straight over them.
+    /// no events — so [`Simulator::run`] skips straight over them.
     ///
-    /// Returns `now` (no stretch) while trace recording is enabled: a
-    /// leap records no per-bit samples, and traces must stay exact.
+    /// Returns `now` as soon as any promise does, so a run that can never
+    /// leap (a busy bus, a random channel) pays about one cheap call per
+    /// bit. Also returns `now` while trace recording is enabled: a leap
+    /// records no per-bit samples, and traces must stay exact.
     pub fn quiet_horizon(&self) -> u64 {
+        let now = self.now;
         if self.trace.is_some() {
-            return self.now;
+            return now;
         }
-        let mut horizon = self.channel.quiet_until(self.now);
+        let mut horizon = self.channel.quiet_until(now);
+        if horizon <= now {
+            return now;
+        }
         for node in &self.nodes {
-            horizon = horizon.min(node.quiescent_until(self.now));
+            let until = node.quiescent_until(now);
+            if until <= now {
+                return now;
+            }
+            horizon = horizon.min(until);
         }
-        horizon.max(self.now)
-    }
-
-    /// Advances the clock to `to` without stepping, skipping bits proven
-    /// inert by [`Simulator::quiet_horizon`]. Bit-identical to stepping
-    /// through the stretch one bit at a time: state, events and all later
-    /// timestamps are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` lies beyond the current quiet horizon (or behind
-    /// `now`) — leaping over a bit where something could happen would
-    /// silently desynchronize the run.
-    pub fn leap(&mut self, to: u64) {
-        assert!(
-            (self.now..=self.quiet_horizon()).contains(&to),
-            "leap to {to} outside the quiet stretch {}..={}",
-            self.now,
-            self.quiet_horizon()
-        );
-        self.now = to;
+        horizon
     }
 
     /// Simulates until `stop` returns `true` (checked after each bit) or
@@ -553,6 +556,75 @@ mod tests {
         sim.run(1);
         sim.restore_from(&snap);
         assert_eq!(sim.trace().map(|t| t.len()), Some(0));
+    }
+
+    /// Sleeps (recessive, promised quiescent) until bit `wake`, pulls the
+    /// bus dominant on that bit, then stays awake without promises.
+    struct Sleeper {
+        wake: u64,
+        observed: u64,
+    }
+
+    impl BitNode for Sleeper {
+        type Tag = ();
+        type Event = u64;
+
+        fn drive(&mut self, now: u64) -> Level {
+            if now == self.wake {
+                D
+            } else {
+                R
+            }
+        }
+
+        fn tag(&self) {}
+
+        fn observe(&mut self, now: u64, seen: Level, events: &mut Vec<u64>) {
+            self.observed += 1;
+            if seen.is_dominant() {
+                events.push(now);
+            }
+        }
+
+        fn quiescent_until(&self, now: u64) -> u64 {
+            if now < self.wake {
+                self.wake
+            } else {
+                now
+            }
+        }
+    }
+
+    #[test]
+    fn run_leaps_promised_stretches_and_ends_at_the_budget() {
+        let mut sim = Simulator::new(NoFaults);
+        sim.attach(Sleeper {
+            wake: 40,
+            observed: 0,
+        });
+        sim.run(100);
+        assert_eq!(sim.now(), 100);
+        assert_eq!(sim.events().len(), 1);
+        assert_eq!(sim.events()[0].at, 40, "the wake-up bit was stepped");
+        assert_eq!(sim.node(NodeId(0)).observed, 60, "bits 0..40 were leapt");
+
+        // No leap without the channel's promise, nor with a trace on.
+        let mut sim = Simulator::new(FnChannel(|_, _, _: &(), _| false));
+        sim.attach(Sleeper {
+            wake: 40,
+            observed: 0,
+        });
+        sim.run(100);
+        assert_eq!(sim.node(NodeId(0)).observed, 100);
+        let mut sim = Simulator::new(NoFaults);
+        sim.attach(Sleeper {
+            wake: 40,
+            observed: 0,
+        });
+        sim.record_trace();
+        sim.run(100);
+        assert_eq!(sim.node(NodeId(0)).observed, 100);
+        assert_eq!(sim.trace().map(|t| t.len()), Some(100));
     }
 
     #[test]

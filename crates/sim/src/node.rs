@@ -71,8 +71,8 @@ pub trait BitNode {
     /// but drive recessive and ignore a recessive sample: for every bit in
     /// `now..quiescent_until(now)`, **provided the node sees recessive**,
     /// its drive/observe round is a guaranteed no-op (no state change, no
-    /// events). The engine's clean-stretch leap
-    /// ([`Simulator::leap`](crate::Simulator::leap)) relies on this; the
+    /// events). The quiet-stretch leap in
+    /// [`Simulator::run`](crate::Simulator::run) relies on this; the
     /// recessive-view proviso holds there because the leap requires every
     /// node quiescent (so the wired-AND is recessive) and the channel
     /// quiet (so no view is flipped).

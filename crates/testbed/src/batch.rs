@@ -29,13 +29,12 @@
 //!   ([`NO_FORK_FIELDS`]). So the pre-step peek can never miss the first
 //!   potential tail match, and forking *earlier* than necessary is
 //!   always sound (forking at bit 0 is a full replay).
-//! * A drained cluster (every node idle with an empty queue, or crashed)
-//!   on a scripted channel with no pending `Idle`-field entry is a
-//!   fixpoint: all nodes drive recessive, observe recessive, emit
-//!   nothing, forever. Runs may therefore end at quiescence instead of
-//!   burning the rest of the bit budget — outcome-identical to the
-//!   scalar full-budget run, and the main reason batch throughput beats
-//!   the scalar loop even for groups of one.
+//! * Runs finish through [`Simulator::run`], which leaps the bus
+//!   fixpoint (every node idle with an empty queue or crashed, no
+//!   pending script entry on `Idle`/`Crashed` — see
+//!   [`Simulator::quiet_horizon`]) exactly as the scalar
+//!   `Testbed::run_schedule` does, so neither path steps a settled bus
+//!   and the group trunk stops as soon as its horizon covers the budget.
 
 use crate::channel::BusChannel;
 use crate::outcome::{classify, Outcome};
@@ -142,37 +141,10 @@ pub(crate) fn drained<V: Variant>(sim: &LinkSim<V>) -> bool {
         .all(|n| (n.is_idle() && n.pending() == 0) || n.is_crashed())
 }
 
-/// `true` once nothing can ever happen again: the bus has drained and no
-/// pending script entry targets a position still being reported (an idle
-/// node tags `Idle` forever; a crashed node tags `Crashed` forever, so a
-/// pending entry on either field would still fire — and change the
-/// unfired count — on the drained bus).
-pub(crate) fn settled<V: Variant>(sim: &LinkSim<V>) -> bool {
-    if !drained(sim) {
-        return false;
-    }
-    match sim.channel() {
-        BusChannel::Scripted(s) => {
-            !s.targets_field(Field::Idle) && !s.targets_field(Field::Crashed)
-        }
-        _ => false,
-    }
-}
-
-/// Steps until the (absolute) bit budget elapses or the cluster settles.
-pub(crate) fn run_to_quiescence<V: Variant>(sim: &mut LinkSim<V>, budget: u64) {
-    while sim.now() < budget {
-        sim.step();
-        if settled(sim) {
-            break;
-        }
-    }
-}
-
 /// `true` when the run that just ended was cut by the bit budget rather
 /// than by quiescence — mirrors the `!is_drained()` check in the scalar
 /// `Testbed::run_schedule` exactly, so batch and scalar classifications
-/// stay bit-identical. (A run that settled before the budget is drained
+/// stay bit-identical. (A trunk that settled before the budget is drained
 /// by construction; a drained-at-budget run is complete either way.)
 pub(crate) fn truncated<V: Variant>(sim: &LinkSim<V>, budget: u64) -> bool {
     sim.now() >= budget && !drained(sim)
@@ -185,7 +157,7 @@ pub(crate) fn outcome_of<V: Variant>(sim: &LinkSim<V>, n_nodes: usize, budget: u
     classify(verdict, sim.channel().unfired_len()).truncate_if(truncated(sim, budget))
 }
 
-/// One scalar evaluation (quiescence-truncated `run_schedule`).
+/// One scalar evaluation (`run_schedule` on the batch's simulator).
 pub(crate) fn run_one<V: Variant>(
     sim: &mut LinkSim<V>,
     n_nodes: usize,
@@ -193,7 +165,7 @@ pub(crate) fn run_one<V: Variant>(
     schedule: &[Disturbance],
 ) -> Outcome {
     load(sim, schedule);
-    run_to_quiescence(sim, budget);
+    sim.run(budget);
     outcome_of(sim, n_nodes, budget)
 }
 
@@ -242,7 +214,7 @@ fn run_group<V: Variant>(
             break;
         }
         sim.step();
-        if settled(sim) {
+        if sim.quiet_horizon() >= budget {
             break;
         }
     }
@@ -273,7 +245,7 @@ fn run_group<V: Variant>(
             BusChannel::Scripted(script) => script.append_tail(&schedules[k][prefix_len..]),
             _ => unreachable!("the trunk loaded a scripted channel"),
         }
-        run_to_quiescence(sim, budget);
+        sim.run(budget - sim.now());
         outcomes[k] = Some(outcome_of(sim, n_nodes, budget));
     }
 }

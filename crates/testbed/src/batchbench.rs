@@ -5,10 +5,10 @@
 //! The workload is shaped like the falsifier's: schedules arrive in
 //! families sharing a disturbance prefix and differing in a tail-biased
 //! last edit (EOF, error-flag and frame-tail-delimiter positions). The
-//! scalar loop replays every family member from bit zero and burns the
-//! full bit budget per run; the batch engine simulates each shared prefix
-//! once, forks the tails from a snapshot and ends runs at quiescence.
-//! [`measure`] asserts both paths classify every schedule identically
+//! scalar loop replays every family member from bit zero; the batch
+//! engine simulates each shared prefix once and forks the tails from a
+//! snapshot. Both leap a run's settled tail (`Simulator::run`), so the
+//! multiple prices prefix sharing alone. [`measure`] asserts both paths classify every schedule identically
 //! before it reports a rate, and the result is rendered as the
 //! `BENCH_batch.json` artifact (schema-guarded by `scripts/check.sh`).
 

@@ -157,12 +157,11 @@ impl ChannelModel<WirePos> for BusChannel {
     fn quiet_until(&self, now: u64) -> u64 {
         match self {
             BusChannel::NoFaults => u64::MAX,
-            BusChannel::Scripted(c) => ChannelModel::<WirePos>::quiet_until(c, now),
+            BusChannel::Scripted(c) => c.quiet_until(now),
             BusChannel::Bursts(c) => ChannelModel::<WirePos>::quiet_until(c, now),
-            // The per-call-rng models and the stateful attacker make no
-            // skippability promise.
+            BusChannel::Attack(c) => c.quiet_until(now),
+            // The per-call-rng models draw on every bit: no promise.
             BusChannel::IndepFull(_) | BusChannel::IndepEof(_) | BusChannel::GlobalEof(_) => now,
-            BusChannel::Attack(_) => now,
         }
     }
 }

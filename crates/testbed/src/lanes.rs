@@ -35,9 +35,7 @@
 //! never correctness. Gated by `tests/lane_equivalence.rs` and the
 //! lane-vs-scalar diff in `scripts/check.sh`.
 
-use crate::batch::{
-    load, outcome_of, run_one, run_to_quiescence, settled, truncated, LinkSim, NO_FORK_FIELDS,
-};
+use crate::batch::{load, outcome_of, run_one, truncated, LinkSim, NO_FORK_FIELDS};
 use crate::channel::BusChannel;
 use crate::outcome::{classify, Outcome};
 use majorcan_abcast::trace_from_can_events;
@@ -111,7 +109,7 @@ fn run_chunk<V: Variant>(
         budget,
         |s| watch.trip(s.nodes().map(|n| n.tag().field.ordinal())),
         |s, peeled| peels.push((s.snapshot(), peeled)),
-        |s| settled(s),
+        |s| s.quiet_horizon() >= budget,
     );
 
     // Survivors first — their verdict lives in the cohort's event log,
@@ -143,7 +141,7 @@ fn run_chunk<V: Variant>(
                 BusChannel::Scripted(script) => script.reload(schedules[lane]),
                 _ => unreachable!("the cohort loaded a scripted channel"),
             }
-            run_to_quiescence(sim, budget);
+            sim.run(budget - sim.now());
             outcomes[lane] = Some(outcome_of(sim, n_nodes, budget));
         }
     }

@@ -6,10 +6,11 @@
 //! batcher cannot help with: **prefix-free** random schedules, as produced
 //! by the falsifier's random fault models — every schedule's first
 //! disturbance is drawn independently, so sorting by prefix yields groups
-//! of one. The scalar loop replays every schedule from bit zero and burns
-//! the full bit budget per run; the lane engine rides up to 64 schedules
-//! on one fault-free trunk, peels each at its first possible divergence
-//! bit and ends every run at quiescence. [`measure`] asserts both paths
+//! of one. The scalar loop replays every schedule from bit zero; the lane
+//! engine rides up to 64 schedules on one fault-free trunk and peels each
+//! at its first possible divergence bit. Both leap a run's settled tail
+//! (`Simulator::run`), so the multiple prices trunk sharing alone.
+//! [`measure`] asserts both paths
 //! classify every schedule identically before it reports a rate, and the
 //! result is rendered as the `BENCH_lanes.json` artifact (schema-guarded
 //! by `scripts/check.sh`).

@@ -498,7 +498,8 @@ impl Testbed {
         })
     }
 
-    /// Simulates `bits` bit times.
+    /// Simulates `bits` bit times, leaping stretches the bus provably
+    /// idles through (see [`Simulator::run`]).
     pub fn run(&mut self, bits: u64) {
         each_sim!(&mut self.cluster, sim => sim.run(bits));
     }
@@ -633,8 +634,11 @@ impl Testbed {
     /// The campaign hot loop: rewinds the cluster, loads `schedule`,
     /// applies the canonical stimulus (node 0 transmits
     /// [`scenario_frame`] on a link cluster, or broadcasts
-    /// [`HLP_PROBE_PAYLOAD`] on an HLP cluster), runs the configured
-    /// budget without trace recording and classifies the run.
+    /// [`HLP_PROBE_PAYLOAD`] on an HLP cluster), runs the clock to the
+    /// configured budget without trace recording and classifies the run.
+    /// Bits after the run settles — every node idle or crashed, no timer
+    /// pending, no script entry an idle bus could still match — are
+    /// leapt, not stepped.
     ///
     /// On a link cluster, a run whose budget elapses while the bus is
     /// still active (not [`Testbed::is_drained`]) classifies as
@@ -664,9 +668,8 @@ impl Testbed {
     /// prefixes become neighbours, each group's prefix is simulated once,
     /// the cluster state is [snapshotted](Testbed::snapshot) at the
     /// divergence point and every tail forks from the snapshot instead of
-    /// replaying from bit zero; runs also end at quiescence instead of
-    /// burning the rest of the bit budget. Higher-level-protocol clusters
-    /// fall back to per-schedule [`Testbed::run_schedule`] calls.
+    /// replaying from bit zero. Higher-level-protocol clusters fall back
+    /// to per-schedule [`Testbed::run_schedule`] calls.
     pub fn run_batch(&mut self, schedules: &[&[Disturbance]]) -> Vec<Outcome> {
         match &mut self.cluster {
             Cluster::Can(sim) => {
@@ -712,9 +715,12 @@ impl Testbed {
 
     /// The attack-campaign hot loop: rewinds the cluster, arms `actions`
     /// as a budgeted attack channel, applies the canonical link stimulus
-    /// (node 0 transmits [`scenario_frame`]), runs the configured budget
-    /// without trace recording and classifies the run. Link-layer
-    /// clusters only — attacks target the frame format itself.
+    /// (node 0 transmits [`scenario_frame`]), runs the clock to the
+    /// configured budget without trace recording and classifies the run.
+    /// Once the bus settles and the attacker can no longer strike it (its
+    /// cost budget spent, or nothing left but positions a settled bus
+    /// never shows), the rest of the budget is leapt. Link-layer clusters
+    /// only — attacks target the frame format itself.
     pub fn run_attack(&mut self, actions: &[AttackAction], cost_budget: u64) -> Outcome {
         self.set_record_trace(false);
         self.load_attack(actions, cost_budget);

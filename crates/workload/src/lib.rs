@@ -260,12 +260,12 @@ where
 /// Steps `sim` for `horizon` bits, queueing every due release of any
 /// [`ReleaseSource`] on its node. Returns the number of frames queued.
 ///
-/// Clean stretches — every node quiescent, the channel quiet, no release
-/// due (see [`Simulator::quiet_horizon`]) — are skipped in one
-/// [`Simulator::leap`] instead of being stepped bit by bit, so a
-/// low-load soak costs time proportional to the *busy* bits, not the
-/// simulated span. The leap is bit-identical to stepping: state, events
-/// and timestamps are unchanged.
+/// Between releases the bus runs through [`Simulator::run`], which leaps
+/// clean stretches — every node quiescent, the channel quiet (see
+/// [`Simulator::quiet_horizon`]) — instead of stepping them bit by bit,
+/// so a low-load soak costs time proportional to the *busy* bits, not
+/// the simulated span. The leap is bit-identical to stepping: state,
+/// events and timestamps are unchanged.
 pub fn drive_source<N, C, S>(sim: &mut Simulator<N, C>, source: &mut S, horizon: u64) -> usize
 where
     N: BitNode + FrameSink,
@@ -282,15 +282,8 @@ where
                 .enqueue_frame(release.frame);
             queued += 1;
         }
-        let stretch = sim
-            .quiet_horizon()
-            .min(source.next_at().unwrap_or(u64::MAX))
-            .min(end);
-        if stretch > now {
-            sim.leap(stretch);
-        } else {
-            sim.step();
-        }
+        let next_release = source.next_at().unwrap_or(u64::MAX).min(end);
+        sim.run(next_release - now);
     }
     queued
 }

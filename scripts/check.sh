@@ -19,6 +19,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 if [[ "$fast" -eq 0 ]]; then
     echo "==> cargo test --workspace"
     cargo test --workspace -q
+    echo "==> cargo test (perfbench: traced drivers replay the library's entry points)"
+    cargo test --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "==> campaign smoke run (sweep, 30 trials, 1 vs 2 workers)"
