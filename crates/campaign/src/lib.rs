@@ -67,8 +67,8 @@ pub use job::{
     JobResult, ProtocolSpec, Totals, WorkloadSpec,
 };
 pub use runner::{
-    run_campaign, run_campaign_in_memory, run_campaign_in_memory_scoped, run_campaign_scoped,
-    CampaignOptions, CampaignReport, WorkerStats,
+    map_ordered, run_campaign, run_campaign_in_memory, run_campaign_in_memory_scoped,
+    run_campaign_scoped, CampaignOptions, CampaignReport, WorkerStats,
 };
 pub use shard::{
     campaign_anchor, merge_ready, merge_shards, run_fleet_worker, shard_of, ChaosMode,

@@ -258,6 +258,50 @@ where
     run_campaign_impl(jobs, opts, Some(sink), || (), |(), job| run_job(job))
 }
 
+/// Maps `f` over `items` on the campaign's worker pool and returns the
+/// results in input order.
+///
+/// Workers follow the runner's rule — `opts.workers`, or one per CPU,
+/// never more than there are items — and take the next unclaimed item
+/// until none is left. Workers keep no state between items, so the result
+/// is `items.iter().map(f)` for any worker count. A panic in `f` is
+/// re-raised on the calling thread.
+pub fn map_ordered<T, R, F>(items: &[T], opts: &CampaignOptions, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = opts.effective_workers().min(items.len());
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => done.into_iter().for_each(|(i, r)| slots[i] = Some(r)),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item is mapped exactly once"))
+        .collect()
+}
+
 fn run_campaign_impl<S, I, F>(
     jobs: &[Job],
     opts: &CampaignOptions,

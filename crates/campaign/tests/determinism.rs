@@ -1,13 +1,14 @@
 //! The runner's core contracts, exercised with a synthetic executor:
 //! worker-count invariance, resume-after-kill convergence, skip accounting
-//! and panic containment.
+//! and panic containment — plus the input order of `map_ordered`.
 
 use majorcan_campaign::{
-    run_campaign, CampaignOptions, FaultSpec, Job, JobResult, JsonlSink, Manifest, ProtocolSpec,
-    WorkloadSpec,
+    map_ordered, run_campaign, CampaignOptions, FaultSpec, Job, JobResult, JsonlSink, Manifest,
+    ProtocolSpec, WorkloadSpec,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 fn jobs(campaign_seed: u64, n: u64) -> Vec<Job> {
     (0..n)
@@ -167,4 +168,27 @@ fn panicking_job_is_recorded_and_campaign_continues() {
     assert_eq!(report.totals.jobs, 12);
     assert!(report.failures.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn map_ordered_returns_results_in_input_order_for_any_worker_count() {
+    let items: Vec<u64> = (0..37).collect();
+    let squares: Vec<u64> = items.iter().map(|x| x * x).collect();
+    let plain = |&x: &u64| x * x;
+    for workers in [1, 2, 8] {
+        let opts = CampaignOptions::quiet(workers);
+        // With two or more workers, the first item waits until another
+        // worker reaches the last one, so the items finish out of order.
+        let last_reached = Barrier::new(2);
+        let square = |&x: &u64| {
+            if workers > 1 && (x == 0 || x == 36) {
+                last_reached.wait();
+            }
+            x * x
+        };
+        assert_eq!(map_ordered(&items, &opts, square), squares, "{workers}");
+        // More workers than items, and no items at all.
+        assert_eq!(map_ordered(&items[..3], &opts, plain), squares[..3]);
+        assert!(map_ordered(&[] as &[u64], &opts, plain).is_empty());
+    }
 }

@@ -27,6 +27,7 @@ use majorcan_campaign::ProtocolSpec;
 use majorcan_can::{CanEvent, Field};
 use majorcan_faults::{AttackAction, Attacker, Strategy};
 use majorcan_testbed::{Outcome, Testbed};
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -316,16 +317,51 @@ fn classify_attack(outcome: Outcome, bus_off_node: Option<usize>) -> AttackOutco
 /// fault-confinement walk to bus-off is reachable, and evaluation scans
 /// the event log for [`CanEvent::WentBusOff`] after grading the run.
 /// Attack targets are link-layer protocols only: attacks address frame
-/// positions of the CAN format itself.
+/// positions of the CAN format itself. The verdicts
+/// [`AttackOracle::judge`] records belong to the cached testbed and go
+/// with it.
 #[derive(Debug, Default)]
 pub struct AttackOracle {
     cached: Option<((ProtocolSpec, usize), Testbed)>,
+    memo: HashMap<Vec<AttackAction>, AttackOutcome>,
+    judge_runs: usize,
 }
 
 impl AttackOracle {
     /// A fresh oracle with an empty testbed cache.
     pub fn new() -> AttackOracle {
-        AttackOracle { cached: None }
+        AttackOracle::default()
+    }
+
+    /// As [`AttackOracle::evaluate`], but an action list this oracle
+    /// already judged on the cached testbed is not run again: the recorded
+    /// verdict comes back instead. The attack shrinker judges every run,
+    /// because the findings of one target converge on the same minima. The
+    /// memo is cleared whenever the cached testbed is rebuilt, and an
+    /// [`AttackOutcome::Panic`] is never recorded.
+    pub fn judge(
+        &mut self,
+        target: ProtocolSpec,
+        schedule: &AttackSchedule,
+        n_nodes: usize,
+    ) -> AttackOutcome {
+        if self.cached.as_ref().map(|(k, _)| *k) == Some((target, n_nodes)) {
+            if let Some(outcome) = self.memo.get(schedule.actions()) {
+                return outcome.clone();
+            }
+        }
+        self.judge_runs += 1;
+        let outcome = self.evaluate(target, schedule, n_nodes);
+        if !matches!(outcome, AttackOutcome::Panic(_)) {
+            self.memo.insert(schedule.to_vec(), outcome.clone());
+        }
+        outcome
+    }
+
+    /// Simulator runs [`AttackOracle::judge`] has made over this oracle's
+    /// life: the judgements its memo could not answer.
+    pub(crate) fn judge_runs(&self) -> usize {
+        self.judge_runs
     }
 
     /// Evaluates `schedule` against `target` and classifies the run.
@@ -340,6 +376,7 @@ impl AttackOracle {
         let key = (target, n_nodes);
         if self.cached.as_ref().map(|(k, _)| *k) != Some(key) {
             self.cached = None; // drop the old cluster before building
+            self.memo.clear();
             let built = catch_unwind(AssertUnwindSafe(|| {
                 Testbed::builder(target)
                     .nodes(n_nodes)
@@ -705,6 +742,48 @@ mod tests {
         ] {
             assert_eq!(evaluate_attack(target, &s, 3), AttackOutcome::Survived);
         }
+    }
+
+    #[test]
+    fn judge_agrees_with_evaluate_and_runs_a_repeated_schedule_once() {
+        let mut oracle = AttackOracle::new();
+        let schedules = [fig1b_attack(), busoff_schedule(32), busoff_schedule(8)];
+        for target in [
+            ProtocolSpec::StandardCan,
+            ProtocolSpec::MajorCan { m: 5 },
+            ProtocolSpec::StandardCan,
+        ] {
+            for s in &schedules {
+                assert_eq!(
+                    oracle.judge(target, s, 3),
+                    evaluate_attack(target, s, 3),
+                    "{target}: {s}"
+                );
+            }
+        }
+        assert_eq!(
+            oracle.judge_runs(),
+            9,
+            "each target switch forgets the memo"
+        );
+        for s in &schedules {
+            oracle.judge(ProtocolSpec::StandardCan, s, 3);
+        }
+        assert_eq!(oracle.judge_runs(), 9, "repeats are answered by the memo");
+    }
+
+    #[test]
+    fn attack_judge_never_records_a_panic_and_recovers() {
+        let mut oracle = AttackOracle::new();
+        for _ in 0..2 {
+            let bad = oracle.judge(ProtocolSpec::MajorCan { m: 2 }, &fig1b_attack(), 3);
+            assert_eq!(bad.token(), "panic", "{bad}");
+        }
+        assert_eq!(oracle.judge_runs(), 2, "a panic verdict is never recorded");
+        assert_eq!(
+            oracle.judge(ProtocolSpec::StandardCan, &fig1b_attack(), 3),
+            AttackOutcome::Violation(Verdict::DoubleReception)
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::attack::{
     AttackCorpusEntry, AttackOracle, AttackOutcome, AttackProvenance, AttackSchedule, ATTACK_BUDGET,
 };
 use crate::generator::{seed_schedules, tail_disturbance, Geometry};
+use crate::shrink_phase::{cap_per_class, shrink_phase, RawFinding, ShrinkPhase, ShrinkResult};
 use majorcan_bench::jobs::chunked_frames;
 use majorcan_campaign::{
     derive_trial_seed, run_campaign_in_memory_scoped, run_campaign_scoped, CampaignOptions,
@@ -23,14 +24,14 @@ use majorcan_campaign::{
 use majorcan_faults::{AttackAction, Disturbance, Strategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::sync::Mutex;
 
 /// Attack schedules per campaign job — the parallelization granule.
 pub const ATTACKS_PER_JOB: u64 = 50;
 
-/// Oracle evaluations one attack shrink may spend.
+/// Judgements one attack shrink may spend, whether run or answered by
+/// the oracle's memo.
 pub const MAX_ATTACK_EVALUATIONS: usize = 400;
 
 /// Configuration of one attack-search campaign.
@@ -88,6 +89,21 @@ pub struct AttackFinding {
     pub schedule: AttackSchedule,
 }
 
+impl RawFinding for AttackFinding {
+    fn target(&self) -> ProtocolSpec {
+        self.target
+    }
+    fn coords(&self) -> (u64, u64) {
+        (self.job_id, self.trial)
+    }
+    fn token(&self) -> &'static str {
+        self.outcome.token()
+    }
+    fn key(&self) -> String {
+        self.schedule.key()
+    }
+}
+
 /// Everything a finished attack search produced.
 #[derive(Debug)]
 pub struct AttackSearchReport {
@@ -101,8 +117,11 @@ pub struct AttackSearchReport {
     pub entries: Vec<AttackCorpusEntry>,
     /// Findings dropped by the per-class caps (reported, never silent).
     pub dropped: usize,
-    /// Oracle evaluations spent shrinking.
+    /// Judgements spent shrinking ([`ShrunkAttack::evaluations`] summed).
     pub shrink_evaluations: usize,
+    /// Simulator runs among them ([`ShrunkAttack::runs`] summed) — the
+    /// same for any worker count.
+    pub shrink_runs: usize,
 }
 
 impl AttackSearchReport {
@@ -265,10 +284,27 @@ pub fn generate_attack(rng: &mut StdRng, geo: &Geometry, max_cost: u64) -> Attac
 pub struct ShrunkAttack {
     /// The minimized schedule.
     pub schedule: AttackSchedule,
-    /// Its (re-verified) outcome.
+    /// Its outcome, judged once more at the end of the shrink. Unless the
+    /// run panicked, the memo answers that final judgement: the minimum
+    /// was judged when the shrinker accepted it.
     pub outcome: AttackOutcome,
-    /// Oracle evaluations spent.
+    /// Judgements spent, whether run or answered by the memo.
     pub evaluations: usize,
+    /// Simulator runs among them: the judgements the memo could not
+    /// answer.
+    pub runs: usize,
+}
+
+impl ShrinkResult for ShrunkAttack {
+    fn key(&self) -> String {
+        self.schedule.key()
+    }
+    fn evaluations(&self) -> usize {
+        self.evaluations
+    }
+    fn runs(&self) -> usize {
+        self.runs
+    }
 }
 
 fn preserves(
@@ -283,7 +319,7 @@ fn preserves(
         return false;
     }
     *evaluations += 1;
-    oracle.evaluate(target, candidate, n_nodes).token() == token
+    oracle.judge(target, candidate, n_nodes).token() == token
 }
 
 /// Rewrites the scalar cost knob of action `i` (hammer reps / flood
@@ -310,17 +346,20 @@ fn scalar_of(action: &AttackAction) -> Option<u64> {
 /// minimizing **cost**: pass 1 drops whole actions to a fixpoint, pass 2
 /// minimizes each action's scalar cost (binary descent on hammer reps and
 /// flood lengths, occurrence normalization on pulses), pass 3 puts the
-/// survivors in canonical order. Uses the caller's oracle so testbed
-/// caches carry across shrinks.
+/// survivors in canonical order. Every run is judged through the
+/// caller's oracle ([`AttackOracle::judge`]), so the testbed cache and the
+/// verdict memo carry across shrinks of one target; the minimum and
+/// [`ShrunkAttack::evaluations`] do not depend on the memo.
 pub fn shrink_attack_with(
     oracle: &mut AttackOracle,
     target: ProtocolSpec,
     schedule: &AttackSchedule,
     n_nodes: usize,
 ) -> ShrunkAttack {
+    let runs_before = oracle.judge_runs();
     let mut evaluations = 0usize;
     let mut current = schedule.clone();
-    let outcome = oracle.evaluate(target, &current, n_nodes);
+    let outcome = oracle.judge(target, &current, n_nodes);
     evaluations += 1;
     let token = outcome.token();
 
@@ -390,12 +429,13 @@ pub fn shrink_attack_with(
         current = candidate;
     }
 
-    let outcome = oracle.evaluate(target, &current, n_nodes);
+    let outcome = oracle.judge(target, &current, n_nodes);
     evaluations += 1;
     ShrunkAttack {
         schedule: current,
         outcome,
         evaluations,
+        runs: oracle.judge_runs() - runs_before,
     }
 }
 
@@ -472,8 +512,9 @@ pub fn execute_attack_search_job(oracle: &mut AttackOracle, job: &Job) -> JobRes
 /// Runs an attack-search campaign: explore, collect, cost-shrink, archive
 /// the cheapest minima per class.
 ///
-/// Results — counters, findings, shrunk entries — are bit-identical for
-/// any worker count in `opts`.
+/// Exploration and the per-target shrinks both run on the worker pool of
+/// `opts`. Results — counters, findings, shrunk entries and the shrink
+/// counts — are bit-identical for any worker count.
 ///
 /// # Errors
 ///
@@ -492,62 +533,39 @@ pub fn run_attack_search(
         Some(s) => run_campaign_scoped(&jobs, opts, s, AttackOracle::new, run)?,
         None => run_campaign_in_memory_scoped(&jobs, opts, AttackOracle::new, run),
     };
-    let mut raw = findings.into_inner().expect("finding channel poisoned");
-    raw.sort_by_key(|f| (f.job_id, f.trial));
-
-    // Dedup raw findings: the same schedule rediscovered against the same
-    // target adds nothing.
-    let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-    let deduped: Vec<AttackFinding> = raw
+    let raw = findings.into_inner().expect("finding channel poisoned");
+    let ShrinkPhase {
+        findings,
+        minima,
+        dropped,
+        evaluations,
+        runs,
+    } = shrink_phase(
+        raw,
+        cfg.keep_per_class,
+        opts,
+        AttackOracle::new,
+        |oracle, f: &AttackFinding| shrink_attack_with(oracle, f.target, &f.schedule, cfg.n_nodes),
+    );
+    let mut candidates: Vec<AttackCorpusEntry> = minima
         .into_iter()
-        .filter(|f| seen.insert((f.target.to_string(), f.schedule.key())))
+        .map(|(i, shrunk)| {
+            let finding = &findings[i];
+            AttackCorpusEntry {
+                protocol: finding.target,
+                n_nodes: cfg.n_nodes,
+                expected: shrunk.outcome.token().to_string(),
+                provenance: AttackProvenance {
+                    campaign_seed: cfg.campaign_seed,
+                    job_id: finding.job_id,
+                    trial: finding.trial,
+                    strategy: shrunk.schedule.strategy_name().to_string(),
+                    cost: shrunk.schedule.cost(),
+                },
+                schedule: shrunk.schedule,
+            }
+        })
         .collect();
-
-    // Cap the shrink queue per (target, token) class, cost-shrink, dedup
-    // the minima — then archive the *cheapest* keep_per_class per class.
-    let shrink_cap = cfg.keep_per_class * 4;
-    let mut queued: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let mut shrunk_seen: BTreeSet<(String, String, String)> = BTreeSet::new();
-    let mut candidates: Vec<AttackCorpusEntry> = Vec::new();
-    let mut dropped = 0usize;
-    let mut shrink_evaluations = 0usize;
-    let mut shrink_oracle = AttackOracle::new();
-    for finding in &deduped {
-        let class = (
-            finding.target.to_string(),
-            finding.outcome.token().to_string(),
-        );
-        let in_queue = queued.entry(class.clone()).or_insert(0);
-        if *in_queue >= shrink_cap {
-            dropped += 1;
-            continue;
-        }
-        *in_queue += 1;
-        let shrunk = shrink_attack_with(
-            &mut shrink_oracle,
-            finding.target,
-            &finding.schedule,
-            cfg.n_nodes,
-        );
-        shrink_evaluations += shrunk.evaluations;
-        let key = (class.0.clone(), class.1.clone(), shrunk.schedule.key());
-        if !shrunk_seen.insert(key) {
-            continue; // distinct raw schedules, same minimum
-        }
-        candidates.push(AttackCorpusEntry {
-            protocol: finding.target,
-            n_nodes: cfg.n_nodes,
-            expected: shrunk.outcome.token().to_string(),
-            provenance: AttackProvenance {
-                campaign_seed: cfg.campaign_seed,
-                job_id: finding.job_id,
-                trial: finding.trial,
-                strategy: shrunk.schedule.strategy_name().to_string(),
-                cost: shrunk.schedule.cost(),
-            },
-            schedule: shrunk.schedule,
-        });
-    }
 
     // Cheapest-first archive: within each class keep the keep_per_class
     // lowest-cost certificates (ties broken by the canonical key, so the
@@ -560,25 +578,17 @@ pub fn run_attack_search(
             e.schedule.key(),
         )
     });
-    let mut kept_per_class: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let mut entries = Vec::new();
-    for entry in candidates {
-        let class = (entry.protocol.to_string(), entry.expected.clone());
-        let kept = kept_per_class.entry(class).or_insert(0);
-        if *kept >= cfg.keep_per_class {
-            dropped += 1;
-            continue;
-        }
-        *kept += 1;
-        entries.push(entry);
-    }
+    let (entries, capped) = cap_per_class(candidates, cfg.keep_per_class, |e| {
+        (e.protocol.to_string(), e.expected.clone())
+    });
 
     Ok(AttackSearchReport {
         totals: report.totals,
-        findings: deduped,
+        findings,
         entries,
-        dropped,
-        shrink_evaluations,
+        dropped: dropped + capped,
+        shrink_evaluations: evaluations,
+        shrink_runs: runs,
     })
 }
 
@@ -586,6 +596,7 @@ pub fn run_attack_search(
 mod tests {
     use super::*;
     use majorcan_can::Field;
+    use std::collections::BTreeSet;
 
     #[test]
     fn job_list_covers_every_target_deterministically() {

@@ -124,9 +124,10 @@ fn print_table(cfg: &AttackSearchConfig, report: &AttackSearchReport) {
         );
     }
     println!(
-        "archived {} certificates ({} shrink evaluations, {} findings dropped by class caps)",
+        "archived {} certificates ({} shrink evaluations, {} simulator runs, {} findings dropped by class caps)",
         report.entries.len(),
         report.shrink_evaluations,
+        report.shrink_runs,
         report.dropped
     );
     for entry in &report.entries {

@@ -126,9 +126,10 @@ fn print_summary(cfg: &SearchConfig, report: &SearchReport) {
         );
     }
     println!(
-        "shrunk {} corpus entries ({} shrink evaluations, {} findings dropped by class caps)",
+        "shrunk {} corpus entries ({} shrink evaluations, {} simulator runs, {} findings dropped by class caps)",
         report.entries.len(),
         report.shrink_evaluations,
+        report.shrink_runs,
         report.dropped
     );
     for entry in &report.entries {

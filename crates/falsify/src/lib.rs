@@ -57,6 +57,7 @@ mod oracle;
 mod schedule;
 mod search;
 mod shrink;
+mod shrink_phase;
 
 pub use attack::{
     evaluate_attack, load_attack_corpus, repo_attack_corpus_dir, runtime_spend,

@@ -21,14 +21,17 @@
 //!
 //! A long-lived [`Oracle`] caches one testbed per (target, node-count)
 //! pair, so a search worker evaluating thousands of schedules against the
-//! same target reuses the cluster instead of reassembling it per run. The
-//! free [`evaluate`] keeps the historical one-shot signature for callers
-//! that grade a single schedule (corpus replay, tests).
+//! same target reuses the cluster instead of reassembling it per run.
+//! [`Oracle::judge`] adds a verdict memo on that testbed for the shrinker,
+//! whose candidates repeat across the findings of one target. The free
+//! [`evaluate`] keeps the historical one-shot signature for callers that
+//! grade a single schedule (corpus replay, tests).
 
 use crate::schedule::Schedule;
 use majorcan_campaign::ProtocolSpec;
 use majorcan_faults::Disturbance;
 use majorcan_testbed::Testbed;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 pub use majorcan_testbed::{budget_for, classify, Outcome, HLP_BUDGET, LINK_BUDGET};
@@ -71,10 +74,13 @@ pub enum Engine {
 /// pair; search workers evaluate in target-major order, so one entry
 /// suffices. After a contained panic the cached testbed is dropped — a
 /// cluster that unwound mid-run is in an unknown state and must not be
-/// reused.
+/// reused. The verdicts [`Oracle::judge`] records belong to the cached
+/// testbed and go with it.
 #[derive(Debug, Default)]
 pub struct Oracle {
     cached: Option<((ProtocolSpec, usize), Testbed)>,
+    memo: HashMap<(u64, Vec<Disturbance>), Outcome>,
+    judge_runs: usize,
     engine: Engine,
 }
 
@@ -88,8 +94,8 @@ impl Oracle {
     /// A fresh oracle evaluating batches through `engine`.
     pub fn with_engine(engine: Engine) -> Oracle {
         Oracle {
-            cached: None,
             engine,
+            ..Oracle::default()
         }
     }
 
@@ -112,6 +118,7 @@ impl Oracle {
         let key = (target, n_nodes);
         if self.cached.as_ref().map(|(k, _)| *k) != Some(key) {
             self.cached = None; // drop the old cluster before building
+            self.memo.clear();
             let built = catch_unwind(AssertUnwindSafe(|| {
                 Testbed::builder(target).nodes(n_nodes).build()
             }));
@@ -149,6 +156,39 @@ impl Oracle {
                 Outcome::CheckerPanic(panic_text(payload))
             }
         }
+    }
+
+    /// As [`Oracle::evaluate`], but a disturbance list this oracle already
+    /// judged at `budget` on the cached testbed is not run again: the
+    /// recorded verdict comes back instead. The shrinkers judge every
+    /// candidate, because the findings of one target converge on the same
+    /// minima. The memo is cleared whenever the cached testbed is rebuilt,
+    /// and an [`Outcome::CheckerPanic`] is never recorded.
+    pub fn judge(
+        &mut self,
+        target: ProtocolSpec,
+        disturbances: &[Disturbance],
+        n_nodes: usize,
+        budget: u64,
+    ) -> Outcome {
+        let key = (budget, disturbances.to_vec());
+        if self.cached.as_ref().map(|(k, _)| *k) == Some((target, n_nodes)) {
+            if let Some(outcome) = self.memo.get(&key) {
+                return outcome.clone();
+            }
+        }
+        self.judge_runs += 1;
+        let outcome = self.evaluate(target, &Schedule::new(key.1.clone()), n_nodes, budget);
+        if !matches!(outcome, Outcome::CheckerPanic(_)) {
+            self.memo.insert(key, outcome.clone());
+        }
+        outcome
+    }
+
+    /// Simulator runs [`Oracle::judge`] has made over this oracle's life:
+    /// the judgements its memo could not answer.
+    pub(crate) fn judge_runs(&self) -> usize {
+        self.judge_runs
     }
 
     /// Evaluates a whole batch of schedules against one target through
@@ -339,6 +379,80 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn judge_agrees_with_evaluate_across_targets_and_budgets() {
+        let mut oracle = Oracle::new();
+        let schedules = [
+            sched(vec![]),
+            sched(Scenario::fig1b().disturbances),
+            sched(Scenario::fig3a().disturbances),
+        ];
+        // A 60-bit budget cuts every run short, so its verdicts differ
+        // from the full budget's: the memo must key on the budget too.
+        assert_ne!(
+            evaluate(ProtocolSpec::StandardCan, &schedules[0], 3, 60),
+            evaluate(ProtocolSpec::StandardCan, &schedules[0], 3, LINK_BUDGET)
+        );
+        for (target, budget) in [
+            (ProtocolSpec::StandardCan, LINK_BUDGET),
+            (ProtocolSpec::StandardCan, 60),
+            (ProtocolSpec::TotCan, HLP_BUDGET),
+            (ProtocolSpec::MinorCan, LINK_BUDGET),
+            (ProtocolSpec::StandardCan, LINK_BUDGET),
+            (ProtocolSpec::TotCan, LINK_BUDGET),
+        ] {
+            for s in &schedules {
+                assert_eq!(
+                    oracle.judge(target, s.disturbances(), 3, budget),
+                    evaluate(target, s, 3, budget),
+                    "{target} at {budget} bits: {s}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn judge_runs_a_repeated_schedule_once() {
+        let mut oracle = Oracle::new();
+        let fig1b = Scenario::fig1b().disturbances;
+        let first = oracle.judge(ProtocolSpec::StandardCan, &fig1b, 3, LINK_BUDGET);
+        for _ in 0..3 {
+            assert_eq!(
+                oracle.judge(ProtocolSpec::StandardCan, &fig1b, 3, LINK_BUDGET),
+                first
+            );
+        }
+        assert_eq!(oracle.judge_runs(), 1);
+        // evaluate neither reads nor fills the memo.
+        let fig3a = sched(Scenario::fig3a().disturbances);
+        oracle.evaluate(ProtocolSpec::StandardCan, &fig3a, 3, LINK_BUDGET);
+        oracle.judge(
+            ProtocolSpec::StandardCan,
+            fig3a.disturbances(),
+            3,
+            LINK_BUDGET,
+        );
+        assert_eq!(oracle.judge_runs(), 2);
+        // A new target rebuilds the testbed and forgets its verdicts.
+        oracle.judge(ProtocolSpec::MinorCan, &fig1b, 3, LINK_BUDGET);
+        oracle.judge(ProtocolSpec::StandardCan, &fig1b, 3, LINK_BUDGET);
+        assert_eq!(oracle.judge_runs(), 4);
+    }
+
+    #[test]
+    fn judge_never_records_a_panic_and_recovers() {
+        let mut oracle = Oracle::new();
+        for _ in 0..2 {
+            let bad = oracle.judge(ProtocolSpec::MajorCan { m: 2 }, &[], 3, LINK_BUDGET);
+            assert!(matches!(bad, Outcome::CheckerPanic(_)), "{bad:?}");
+        }
+        assert_eq!(oracle.judge_runs(), 2, "a panic verdict is never recorded");
+        assert_eq!(
+            oracle.judge(ProtocolSpec::StandardCan, &[], 3, LINK_BUDGET),
+            Outcome::Consistent
+        );
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! RNG from `(campaign seed, j, t)` and synthesizes + evaluates exactly
 //! one schedule, so the explored space is a pure function of the campaign
 //! seed — identical for any `--jobs` worker count. Violations flow
-//! through a side channel, are ordered by `(job id, trial)`, deduplicated,
-//! shrunk, deduplicated again post-shrink and capped per outcome class
-//! before archiving; every cap is reported, never silent.
+//! through a side channel into the shrink phase shared with the attack
+//! search (`shrink_phase`): ordered by `(job id, trial)`, deduplicated,
+//! shrunk per target on the worker pool, deduplicated again post-shrink
+//! and capped per outcome class before archiving; every cap is reported,
+//! never silent.
 //!
 //! Resume note: the JSONL counter artifact is resume-safe like any
 //! campaign, but the finding side channel only sees jobs executed in the
@@ -18,7 +20,8 @@ use crate::corpus::{CorpusEntry, Provenance};
 use crate::generator::{generate, Geometry};
 use crate::oracle::{budget_for, Engine, Oracle, Outcome};
 use crate::schedule::Schedule;
-use crate::shrink::shrink_with;
+use crate::shrink::{shrink_with, Shrunk};
+use crate::shrink_phase::{cap_per_class, shrink_phase, RawFinding, ShrinkPhase, ShrinkResult};
 use majorcan_bench::jobs::chunked_frames;
 use majorcan_campaign::{
     derive_trial_seed, run_campaign_in_memory_scoped, run_campaign_scoped, CampaignOptions,
@@ -26,7 +29,6 @@ use majorcan_campaign::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::sync::Mutex;
 
@@ -91,6 +93,33 @@ pub struct Finding {
     pub schedule: Schedule,
 }
 
+impl RawFinding for Finding {
+    fn target(&self) -> ProtocolSpec {
+        self.target
+    }
+    fn coords(&self) -> (u64, u64) {
+        (self.job_id, self.trial)
+    }
+    fn token(&self) -> &'static str {
+        self.outcome.token()
+    }
+    fn key(&self) -> String {
+        self.schedule.key()
+    }
+}
+
+impl ShrinkResult for Shrunk {
+    fn key(&self) -> String {
+        self.schedule.key()
+    }
+    fn evaluations(&self) -> usize {
+        self.evaluations
+    }
+    fn runs(&self) -> usize {
+        self.runs
+    }
+}
+
 /// Everything a finished search produced.
 #[derive(Debug)]
 pub struct SearchReport {
@@ -103,8 +132,11 @@ pub struct SearchReport {
     pub entries: Vec<CorpusEntry>,
     /// Findings dropped by the per-class caps (reported, never silent).
     pub dropped: usize,
-    /// Oracle evaluations spent shrinking.
+    /// Judgements spent shrinking ([`Shrunk::evaluations`] summed).
     pub shrink_evaluations: usize,
+    /// Simulator runs among them ([`Shrunk::runs`] summed) — the same
+    /// for any worker count.
+    pub shrink_runs: usize,
 }
 
 impl SearchReport {
@@ -206,9 +238,10 @@ pub fn execute_search_job(oracle: &mut Oracle, job: &Job) -> JobResult {
 /// Runs a falsification campaign: explore, collect, shrink, archive.
 ///
 /// With a sink, the counter artifact is durable and resumable like any
-/// campaign artifact; without one the run is in-memory. Results —
-/// counters, findings, shrunk entries — are bit-identical for any worker
-/// count in `opts`.
+/// campaign artifact; without one the run is in-memory. Exploration and
+/// the per-target shrinks both run on the worker pool of `opts`. Results
+/// — counters, findings, shrunk entries and the shrink counts — are
+/// bit-identical for any worker count.
 ///
 /// # Errors
 ///
@@ -228,80 +261,57 @@ pub fn run_search(
         Some(s) => run_campaign_scoped(&jobs, opts, s, factory, run)?,
         None => run_campaign_in_memory_scoped(&jobs, opts, factory, run),
     };
-    let mut raw = findings.into_inner().expect("finding channel poisoned");
-    // The runner hands jobs out in nondeterministic order; sorting by the
-    // deterministic (job id, trial) coordinates restores a canonical
-    // sequence.
-    raw.sort_by_key(|f| (f.job_id, f.trial));
-
-    // Dedup raw findings: the same schedule rediscovered against the same
-    // target adds nothing.
-    let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
-    let deduped: Vec<Finding> = raw
+    let raw = findings.into_inner().expect("finding channel poisoned");
+    let ShrinkPhase {
+        findings,
+        minima,
+        dropped,
+        evaluations,
+        runs,
+    } = shrink_phase(
+        raw,
+        cfg.keep_per_class,
+        opts,
+        Oracle::new,
+        |oracle, f: &Finding| {
+            shrink_with(
+                oracle,
+                f.target,
+                &f.schedule,
+                cfg.n_nodes,
+                budget_for(f.target),
+            )
+        },
+    );
+    let candidates: Vec<CorpusEntry> = minima
         .into_iter()
-        .filter(|f| seen.insert((f.target.to_string(), f.schedule.key())))
+        .map(|(i, shrunk)| {
+            let finding = &findings[i];
+            CorpusEntry {
+                protocol: finding.target,
+                n_nodes: cfg.n_nodes,
+                budget: budget_for(finding.target),
+                expected: finding.outcome.token().to_string(),
+                schedule: shrunk.schedule,
+                provenance: Provenance {
+                    campaign_seed: cfg.campaign_seed,
+                    job_id: finding.job_id,
+                    trial: finding.trial,
+                },
+            }
+        })
         .collect();
-
-    // Cap the shrink queue per (target, token) class, then shrink, dedup
-    // the minima and cap the archive.
-    let shrink_cap = cfg.keep_per_class * 4;
-    let mut queued: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let mut archived: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let mut archived_seen: BTreeSet<(String, String, String)> = BTreeSet::new();
-    let mut entries = Vec::new();
-    let mut dropped = 0usize;
-    let mut shrink_evaluations = 0usize;
-    let mut shrink_oracle = Oracle::new();
-    for finding in &deduped {
-        let class = (
-            finding.target.to_string(),
-            finding.outcome.token().to_string(),
-        );
-        let in_queue = queued.entry(class.clone()).or_insert(0);
-        if *in_queue >= shrink_cap {
-            dropped += 1;
-            continue;
-        }
-        *in_queue += 1;
-        let budget = budget_for(finding.target);
-        let shrunk = shrink_with(
-            &mut shrink_oracle,
-            finding.target,
-            &finding.schedule,
-            cfg.n_nodes,
-            budget,
-        );
-        shrink_evaluations += shrunk.evaluations;
-        let key = (class.0.clone(), class.1.clone(), shrunk.schedule.key());
-        if !archived_seen.insert(key) {
-            continue; // distinct raw schedules, same minimum
-        }
-        let kept = archived.entry(class).or_insert(0);
-        if *kept >= cfg.keep_per_class {
-            dropped += 1;
-            continue;
-        }
-        *kept += 1;
-        entries.push(CorpusEntry {
-            protocol: finding.target,
-            n_nodes: cfg.n_nodes,
-            budget,
-            expected: finding.outcome.token().to_string(),
-            schedule: shrunk.schedule,
-            provenance: Provenance {
-                campaign_seed: cfg.campaign_seed,
-                job_id: finding.job_id,
-                trial: finding.trial,
-            },
-        });
-    }
+    let (entries, capped) = cap_per_class(candidates, cfg.keep_per_class, |e| {
+        (e.protocol.to_string(), e.expected.clone())
+    });
 
     Ok(SearchReport {
         totals: report.totals,
-        findings: deduped,
+        findings,
         entries,
-        dropped,
-        shrink_evaluations,
+        dropped: dropped + capped,
+        shrink_evaluations: evaluations,
+        shrink_runs: runs,
     })
 }
 

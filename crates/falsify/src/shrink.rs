@@ -8,19 +8,23 @@
 //! real bit rather than stuff bit, earliest bit index that still
 //! reproduces — and finally sort into a canonical order if that preserves
 //! the class. The result is deterministic: same schedule in, same minimum
-//! out, bounded by [`MAX_EVALUATIONS`] oracle calls.
+//! out, bounded by [`MAX_EVALUATIONS`] judgements. Each judgement goes
+//! through [`Oracle::judge`], so a candidate the oracle already judged
+//! costs no simulator run.
 
 use crate::oracle::{Oracle, Outcome};
 use crate::schedule::Schedule;
 use majorcan_campaign::ProtocolSpec;
 use majorcan_faults::Disturbance;
 
-/// Hard cap on oracle evaluations per shrink (each one is a full
-/// simulator run; the greedy passes converge far earlier in practice).
+/// Hard cap on judgements per shrink (the greedy passes converge far
+/// earlier in practice). A judgement the oracle's memo answers counts
+/// like one it runs, so the cap and every minimum are independent of what
+/// the oracle judged before.
 pub const MAX_EVALUATIONS: usize = 400;
 
 /// The result of a shrink: the minimized schedule, the preserved outcome,
-/// and how many oracle calls it took.
+/// and how many judgements and simulator runs it took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Shrunk {
     /// The minimized schedule (reproduces the same outcome token).
@@ -28,14 +32,17 @@ pub struct Shrunk {
     /// The outcome of the original schedule, which the minimized one
     /// still produces.
     pub outcome: Outcome,
-    /// Oracle evaluations spent.
+    /// Judgements spent, whether run or answered by the memo.
     pub evaluations: usize,
+    /// Simulator runs among them: the judgements the memo could not
+    /// answer.
+    pub runs: usize,
 }
 
 fn preserves(
     oracle: &mut Oracle,
     target: ProtocolSpec,
-    candidate: Vec<Disturbance>,
+    candidate: &[Disturbance],
     n_nodes: usize,
     budget: u64,
     token: &str,
@@ -45,10 +52,7 @@ fn preserves(
         return false;
     }
     *evals += 1;
-    oracle
-        .evaluate(target, &Schedule::new(candidate), n_nodes, budget)
-        .token()
-        == token
+    oracle.judge(target, candidate, n_nodes, budget).token() == token
 }
 
 fn canonical_key(d: &Disturbance) -> (usize, String, u16, u32, bool) {
@@ -64,8 +68,12 @@ pub fn shrink(target: ProtocolSpec, schedule: &Schedule, n_nodes: usize, budget:
     shrink_with(&mut Oracle::new(), target, schedule, n_nodes, budget)
 }
 
-/// As [`shrink`], evaluating through a caller-provided [`Oracle`] so the
-/// hundreds of candidate runs share one cached testbed.
+/// As [`shrink`], judging every run through a caller-provided [`Oracle`]
+/// ([`Oracle::judge`]): the candidates share one cached testbed, and a
+/// candidate the oracle already judged for `target` — in this shrink or an
+/// earlier one — is answered from its memo instead of run again. The
+/// minimum and [`Shrunk::evaluations`] do not depend on the memo; only
+/// [`Shrunk::runs`] does.
 pub fn shrink_with(
     oracle: &mut Oracle,
     target: ProtocolSpec,
@@ -73,7 +81,8 @@ pub fn shrink_with(
     n_nodes: usize,
     budget: u64,
 ) -> Shrunk {
-    let outcome = oracle.evaluate(target, schedule, n_nodes, budget);
+    let runs_before = oracle.judge_runs();
+    let outcome = oracle.judge(target, schedule.disturbances(), n_nodes, budget);
     let token = outcome.token();
     let mut best = schedule.to_vec();
     let mut evals = 1usize;
@@ -87,13 +96,7 @@ pub fn shrink_with(
             let mut candidate = best.clone();
             candidate.remove(i);
             if preserves(
-                oracle,
-                target,
-                candidate.clone(),
-                n_nodes,
-                budget,
-                token,
-                &mut evals,
+                oracle, target, &candidate, n_nodes, budget, token, &mut evals,
             ) {
                 best = candidate;
                 changed = true;
@@ -111,13 +114,7 @@ pub fn shrink_with(
             let mut candidate = best.clone();
             candidate[i].occurrence = 1;
             if preserves(
-                oracle,
-                target,
-                candidate.clone(),
-                n_nodes,
-                budget,
-                token,
-                &mut evals,
+                oracle, target, &candidate, n_nodes, budget, token, &mut evals,
             ) {
                 best = candidate;
             }
@@ -126,13 +123,7 @@ pub fn shrink_with(
             let mut candidate = best.clone();
             candidate[i].stuff = false;
             if preserves(
-                oracle,
-                target,
-                candidate.clone(),
-                n_nodes,
-                budget,
-                token,
-                &mut evals,
+                oracle, target, &candidate, n_nodes, budget, token, &mut evals,
             ) {
                 best = candidate;
             }
@@ -141,13 +132,7 @@ pub fn shrink_with(
             let mut candidate = best.clone();
             candidate[i].index = index;
             if preserves(
-                oracle,
-                target,
-                candidate.clone(),
-                n_nodes,
-                budget,
-                token,
-                &mut evals,
+                oracle, target, &candidate, n_nodes, budget, token, &mut evals,
             ) {
                 best = candidate;
                 break;
@@ -158,17 +143,7 @@ pub fn shrink_with(
     // Pass 3 — canonical order, when order doesn't matter to the outcome.
     let mut sorted = best.clone();
     sorted.sort_by_key(canonical_key);
-    if sorted != best
-        && preserves(
-            oracle,
-            target,
-            sorted.clone(),
-            n_nodes,
-            budget,
-            token,
-            &mut evals,
-        )
-    {
+    if sorted != best && preserves(oracle, target, &sorted, n_nodes, budget, token, &mut evals) {
         best = sorted;
     }
 
@@ -176,6 +151,7 @@ pub fn shrink_with(
         schedule: Schedule::new(best),
         outcome,
         evaluations: evals,
+        runs: oracle.judge_runs() - runs_before,
     }
 }
 
@@ -240,6 +216,24 @@ mod tests {
         assert_eq!(shrunk.outcome.token(), "double");
         assert_eq!(shrunk.schedule.len(), 1);
         assert_eq!(shrunk.schedule.disturbances()[0].occurrence, 1);
+    }
+
+    #[test]
+    fn a_warm_oracle_saves_runs_but_not_judgements() {
+        let mut ds = Scenario::fig1b().disturbances;
+        ds.push(Disturbance::first(2, Field::Intermission, 1));
+        ds.push(Disturbance::first(2, Field::Crc, 12));
+        let s = Schedule::new(ds);
+        let mut oracle = Oracle::new();
+        let cold = shrink_with(&mut oracle, ProtocolSpec::StandardCan, &s, 3, LINK_BUDGET);
+        let warm = shrink_with(&mut oracle, ProtocolSpec::StandardCan, &s, 3, LINK_BUDGET);
+        assert!(cold.runs >= 1 && cold.runs <= cold.evaluations, "{cold:?}");
+        assert_eq!(warm.runs, 0, "every candidate was judged before");
+        assert_eq!(
+            Shrunk { runs: 0, ..cold },
+            warm,
+            "same minimum, outcome and judgements"
+        );
     }
 
     #[test]

@@ -34,6 +34,13 @@ fn attack_search_is_bit_identical_across_worker_counts() {
     assert_eq!(one.findings, four.findings, "findings order is canonical");
     assert_eq!(one.dropped, four.dropped);
     assert_eq!(one.shrink_evaluations, four.shrink_evaluations);
+    assert_eq!(one.shrink_runs, four.shrink_runs);
+    assert!(
+        one.shrink_runs < one.shrink_evaluations,
+        "the verdict memo saved no run: {} of {}",
+        one.shrink_runs,
+        one.shrink_evaluations
+    );
     let render = |r: &majorcan_falsify::AttackSearchReport| -> Vec<String> {
         r.entries.iter().map(|e| e.to_json().to_string()).collect()
     };

@@ -68,4 +68,11 @@ fn results_are_identical_for_any_worker_count() {
     assert_eq!(a.entries, b.entries);
     assert_eq!(a.dropped, b.dropped);
     assert_eq!(a.shrink_evaluations, b.shrink_evaluations);
+    assert_eq!(a.shrink_runs, b.shrink_runs);
+    assert!(
+        a.shrink_runs < a.shrink_evaluations,
+        "the verdict memo saved no run: {} of {}",
+        a.shrink_runs,
+        a.shrink_evaluations
+    );
 }

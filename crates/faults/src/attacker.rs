@@ -38,7 +38,7 @@ use std::fmt;
 /// ([`Pulse`](AttackAction::Pulse) / [`Hammer`](AttackAction::Hammer)),
 /// mirroring how [`Disturbance`](crate::Disturbance) addresses bits. Stuff
 /// bits are never targeted: the attacker aims at nominal field positions.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AttackAction {
     /// Drive the bus dominant for every bit time in `start..start + len`
     /// (absolute bit count since reset). All nodes see the pulse; the cost

@@ -18,7 +18,7 @@ use std::fmt;
 /// The `Ord` impl is lexicographic over the fields in declaration order —
 /// the batch engine sorts schedules by it so that schedules sharing a
 /// disturbance prefix become neighbours and can fork from one snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Disturbance {
     /// Victim node (its *view* is inverted; the wire is untouched).
     pub node: usize,
