@@ -45,10 +45,6 @@ const EXTRAS: &[ExtraFlag] = &[
     ExtraFlag::value("--nodes", "<n: bus size, default 3>"),
     ExtraFlag::value("--probe", "<entry.json: replay one archived repro>"),
     ExtraFlag::switch("--scalar", "(evaluate schedule-by-schedule, not laned)"),
-    ExtraFlag::switch(
-        "--batch",
-        "(evaluate via the prefix-fork batcher, not lanes)",
-    ),
 ];
 
 /// Replays one archived corpus entry — benign disturbance repro or
@@ -176,14 +172,10 @@ fn main() {
     );
     cfg.max_errors = cli.extra_u64("--max-errors", 4) as usize;
     cfg.n_nodes = cli.extra_u64("--nodes", 3) as usize;
-    cfg.engine = match (cli.extra_flag("--scalar"), cli.extra_flag("--batch")) {
-        (true, true) => {
-            eprintln!("error: --scalar and --batch are mutually exclusive");
-            std::process::exit(exit_code::USAGE);
-        }
-        (true, false) => Engine::Scalar,
-        (false, true) => Engine::Batch,
-        (false, false) => Engine::Lanes,
+    cfg.engine = if cli.extra_flag("--scalar") {
+        Engine::Scalar
+    } else {
+        Engine::Lanes
     };
 
     let engine = cfg.engine;

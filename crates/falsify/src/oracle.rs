@@ -47,8 +47,8 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Which evaluation engine [`Oracle::evaluate_batch`] routes a job's
-/// schedules through. All three are gated on outcome equality (the
-/// equivalence property suites plus the JSONL diff gates in
+/// schedules through. The two are gated on outcome equality (the
+/// lane-equivalence property suite plus the JSONL diff gate in
 /// `scripts/check.sh`): the same campaign must produce byte-identical
 /// artifacts whichever engine runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,12 +59,8 @@ pub enum Engine {
     /// engine shares their fault-free trunk regardless.
     #[default]
     Lanes,
-    /// Prefix-fork batch execution
-    /// ([`run_batch`](majorcan_testbed::Testbed::run_batch)) — the
-    /// falsify bin's `--batch` switch.
-    Batch,
     /// Schedule-by-schedule scalar hot loop — the `--scalar` escape
-    /// hatch and determinism baseline.
+    /// hatch and the reference the lane engine is checked against.
     Scalar,
 }
 
@@ -97,14 +93,6 @@ impl Oracle {
             engine,
             ..Oracle::default()
         }
-    }
-
-    /// An oracle whose [`Oracle::evaluate_batch`] runs schedule by
-    /// schedule through the scalar hot loop instead of a packed engine.
-    /// Exists for the engine-vs-scalar determinism gates in
-    /// `scripts/check.sh` (the falsify bin's `--scalar` switch).
-    pub fn new_scalar() -> Oracle {
-        Oracle::with_engine(Engine::Scalar)
     }
 
     /// Builds (or reuses) the cached testbed for `(target, n_nodes)`.
@@ -212,8 +200,7 @@ impl Oracle {
         n_nodes: usize,
         budget: u64,
     ) -> Vec<Outcome> {
-        let engine = self.engine;
-        if engine == Engine::Scalar {
+        if self.engine == Engine::Scalar {
             return schedules
                 .iter()
                 .map(|s| self.evaluate(target, s, n_nodes, budget))
@@ -225,11 +212,7 @@ impl Oracle {
         };
         testbed.set_budget(budget);
         let refs: Vec<&[Disturbance]> = schedules.iter().map(Schedule::disturbances).collect();
-        let run = catch_unwind(AssertUnwindSafe(|| match engine {
-            Engine::Lanes => testbed.run_lanes(&refs),
-            Engine::Batch => testbed.run_batch(&refs),
-            Engine::Scalar => unreachable!("scalar handled above"),
-        }));
+        let run = catch_unwind(AssertUnwindSafe(|| testbed.run_lanes(&refs)));
         match run {
             Ok(outcomes) => outcomes,
             Err(_) => {

@@ -52,9 +52,9 @@ pub struct SearchConfig {
     /// queue admits four times this many raw findings per class.
     pub keep_per_class: usize,
     /// Which engine [`Oracle::evaluate_batch`] routes each job's
-    /// schedules through — lane cohorts by default, with `--batch` and
-    /// `--scalar` as the determinism gates (results must be identical
-    /// whichever engine runs).
+    /// schedules through — lane cohorts by default, with `--scalar` as
+    /// the determinism gate (results must be identical whichever engine
+    /// runs).
     pub engine: Engine,
 }
 

@@ -14,11 +14,7 @@ use majorcan_sim::{ChannelModel, Level, NodeId};
 use std::fmt;
 
 /// One scripted view-flip.
-///
-/// The `Ord` impl is lexicographic over the fields in declaration order —
-/// the batch engine sorts schedules by it so that schedules sharing a
-/// disturbance prefix become neighbours and can fork from one snapshot.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Disturbance {
     /// Victim node (its *view* is inverted; the wire is untouched).
     pub node: usize,
@@ -101,8 +97,8 @@ pub struct ScriptedFaults {
 }
 
 /// Manual impl so `clone_from` reuses the destination's backing storage —
-/// the batch engine restores a snapshotted script into a reused channel
-/// slot once per fork, which must not reallocate per fork.
+/// the lane engine restores a snapshotted script into a reused channel
+/// slot once per peeled lane, which must not reallocate per lane.
 impl Clone for ScriptedFaults {
     fn clone(&self) -> Self {
         ScriptedFaults {
@@ -141,14 +137,6 @@ impl ScriptedFaults {
     /// assert this to be sure the script actually matched.
     pub fn exhausted(&self) -> bool {
         self.pending.is_empty()
-    }
-
-    /// Appends `tail` to the script without touching the entries (and
-    /// per-entry occurrence counts) already loaded — the fork step of the
-    /// batch engine: a snapshot taken mid-run carries the shared prefix's
-    /// progress, and each fork appends its divergent tail fresh.
-    pub fn append_tail(&mut self, tail: &[Disturbance]) {
-        self.pending.extend(tail.iter().map(|d| (d.clone(), 0)));
     }
 
     /// The disturbances that have not fired (yet), in script order.

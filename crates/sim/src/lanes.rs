@@ -1,12 +1,12 @@
 //! Lane-parallel cohort execution: up to 64 runs behind one simulator.
 //!
 //! The falsifier's random campaigns evaluate thousands of *prefix-free*
-//! schedules — no shared disturbance prefix for the snapshot/fork batcher
-//! to exploit — yet almost every one of those runs spends its first
-//! hundred-odd bits replaying the **identical fault-free trunk** before
-//! its first disturbance can possibly match. This module packs up to 64
-//! such runs ("lanes") into `u64` bit masks and steps the trunk **once**
-//! for all of them:
+//! schedules — their disturbances are drawn independently, so they
+//! rarely share a prefix — yet almost every one of those runs spends its
+//! first hundred-odd bits replaying the **identical fault-free trunk**
+//! before its first disturbance can possibly match. This module packs up
+//! to 64 such runs ("lanes") into `u64` bit masks and steps the trunk
+//! **once** for all of them:
 //!
 //! * a [`LaneSim`] carries the per-lane *activity mask* — bit `k` set
 //!   means lane `k` is still riding the shared cohort;
@@ -24,12 +24,12 @@
 //! The engine stays protocol-agnostic: what a "tag slot" is (the
 //! testbed uses the frame-field ordinal), which lanes must never join a
 //! cohort (drive-phase-transition fields) and how a peeled lane finishes
-//! are the caller's business. The correctness argument mirrors the
-//! prefix-fork batcher's (see `majorcan-testbed`'s `batch` module): a
-//! pre-step tag peek can never miss the first potential match for the
-//! fields cohorts are allowed to watch, so peeling is conservative —
-//! peeling *earlier* than necessary is always sound, and a lane that
-//! never trips is bit-identical to the fault-free trunk.
+//! are the caller's business (`majorcan-testbed`'s `lanes` module makes
+//! the argument for scripted schedules): a pre-step tag peek can never
+//! miss the first potential match for the fields cohorts are allowed to
+//! watch, so peeling is conservative — peeling *earlier* than necessary
+//! is always sound, and a lane that never trips is bit-identical to the
+//! fault-free trunk.
 
 use crate::{BitNode, ChannelModel, Simulator};
 

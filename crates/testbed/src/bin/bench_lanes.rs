@@ -1,7 +1,7 @@
 //! Regenerates `BENCH_lanes.json`: runs/sec of the 64-lane cohort engine
 //! (`Testbed::run_lanes`) against the scalar reused hot loop
 //! (`Testbed::run_schedule`), per link-layer protocol, on a prefix-free
-//! random campaign — the workload the prefix-fork batcher cannot merge.
+//! random campaign — the shape the falsifier's random fault models emit.
 //!
 //! ```text
 //! cargo run --release -p majorcan-testbed --bin bench_lanes -- \

@@ -1,17 +1,17 @@
-//! 64-lane cohort execution over scripted schedules.
+//! 64-lane cohort execution over scripted schedules — the testbed's one
+//! packed engine, checked against the scalar [`Testbed::run_schedule`]
+//! reference path.
 //!
-//! The prefix-fork batcher (`crate::batch`) exploits schedules sharing a
-//! disturbance *prefix*; the falsifier's random fault models produce
-//! mostly prefix-free schedules, where it degenerates to groups of one.
-//! But even prefix-free schedules share something: until a schedule's
-//! first disturbance can possibly fire, its run is **bit-identical to
-//! the fault-free run**. This module exploits exactly that with the
-//! `u64` lane machinery from `majorcan-sim` ([`LaneSim`] /
+//! The falsifier's random fault models produce mostly prefix-free
+//! schedules, yet every one of them shares something: until a
+//! schedule's first disturbance can possibly fire, its run is
+//! **bit-identical to the fault-free run**. This module exploits exactly
+//! that with the `u64` lane machinery from `majorcan-sim` ([`LaneSim`] /
 //! [`WatchTable`]):
 //!
 //! 1. **Pack** up to 64 schedules into one cohort. Schedules targeting a
-//!    field in [`NO_FORK_FIELDS`] never join (same drive-phase-transition
-//!    caveat as the batcher's fork rule) and run scalar instead.
+//!    field in [`NO_FORK_FIELDS`] never join (a pre-step peek could miss
+//!    a match there) and run scalar instead.
 //! 2. **Trunk** — run the *fault-free* cluster once, ORing per bit the
 //!    watch masks of every node's pre-step frame field. Any lane whose
 //!    mask trips is **peeled**: a snapshot is taken at that bit (shared
@@ -22,26 +22,98 @@
 //!    unfired), so the cohort's verdict, quiescence cut and truncation
 //!    status are exactly theirs.
 //!
-//! Why the peel is sound, in terms of the batcher's own invariant: a
-//! scripted disturbance fires only on a full `(node, field, index,
-//! stuff)` match, and for every field outside [`NO_FORK_FIELDS`] the
-//! disturb-time field equals the pre-step field. The peel bit is the
-//! *first* bit where any of the lane's `(node, field)` pairs matches
-//! pre-step — so at that bit none of the lane's entries has matched
-//! (let alone fired), the cohort state equals the lane's scalar state
-//! bit-for-bit, and `restore + reload(full schedule) + run` is the
-//! scalar run. Peeling earlier than strictly necessary (the watch is
-//! field-granular, ignoring index/stuff) only costs trunk sharing,
-//! never correctness. Gated by `tests/lane_equivalence.rs` and the
-//! lane-vs-scalar diff in `scripts/check.sh`.
+//! Why the peel is sound: a scripted disturbance fires only on a full
+//! `(node, field, index, stuff)` match, and for every field outside
+//! [`NO_FORK_FIELDS`] the disturb-time field equals the pre-step field.
+//! The peel bit is the *first* bit where any of the lane's `(node,
+//! field)` pairs matches pre-step — so at that bit none of the lane's
+//! entries has matched (let alone fired), the cohort state equals the
+//! lane's scalar state bit-for-bit, and `restore + reload(full
+//! schedule) + run` is the scalar run. Peeling earlier than strictly
+//! necessary (the watch is field-granular, ignoring index/stuff) only
+//! costs trunk sharing, never correctness. Runs finish through [`Simulator::run`],
+//! which leaps the bus fixpoint exactly as the scalar path does. Gated
+//! by `tests/lane_equivalence.rs` and the lane-vs-scalar diff in
+//! `scripts/check.sh`.
+//!
+//! [`Testbed::run_schedule`]: crate::Testbed::run_schedule
+//! [`Simulator::run`]: majorcan_sim::Simulator::run
 
-use crate::batch::{load, outcome_of, run_one, truncated, LinkSim, NO_FORK_FIELDS};
 use crate::channel::BusChannel;
 use crate::outcome::{classify, Outcome};
 use majorcan_abcast::trace_from_can_events;
 use majorcan_can::{Controller, Field, Variant};
-use majorcan_faults::Disturbance;
-use majorcan_sim::{BitNode, LaneSim, SimSnapshot, WatchTable, MAX_LANES};
+use majorcan_faults::{scenario_frame, Disturbance};
+use majorcan_sim::{BitNode, LaneSim, NodeId, SimSnapshot, Simulator, WatchTable, MAX_LANES};
+
+/// Fields that keep a schedule out of every cohort: `Sof` and `Crashed`
+/// can be entered during the drive phase (so a pre-step peek would miss
+/// them), and the integration/shutdown fields are kept scalar out of
+/// caution — no falsifier schedule targets them on the hot path.
+const NO_FORK_FIELDS: &[Field] = &[
+    Field::Idle,
+    Field::Sof,
+    Field::Integrating,
+    Field::Crashed,
+    Field::BusOff,
+];
+
+type LinkSim<V> = Simulator<Controller<V>, BusChannel>;
+
+/// Rewinds the cluster onto `schedule` and queues the canonical stimulus
+/// (node 0 transmits the scenario frame) — the engine-local equivalent
+/// of `Testbed::load_script` + `enqueue`.
+fn load<V: Variant>(sim: &mut LinkSim<V>, schedule: &[Disturbance]) {
+    if let BusChannel::Scripted(script) = sim.channel_mut() {
+        script.reload(schedule);
+        sim.reset();
+    } else {
+        sim.reset_with_channel(BusChannel::scripted(schedule.to_vec()));
+    }
+    for node in sim.nodes_mut() {
+        node.set_fail_at(None);
+        node.reset();
+    }
+    sim.node_mut(NodeId(0)).enqueue(scenario_frame());
+}
+
+/// `true` when every node is idle with an empty queue or crashed — the
+/// one drain predicate behind `Testbed::is_drained`, and the condition
+/// the truncation distinction rests on: a run whose budget elapses while
+/// `!drained` executed a *prefix* of its schedule's consequences.
+pub(crate) fn drained<V: Variant>(sim: &LinkSim<V>) -> bool {
+    sim.nodes()
+        .all(|n| (n.is_idle() && n.pending() == 0) || n.is_crashed())
+}
+
+/// `true` when the run that just ended was cut by the bit budget rather
+/// than by quiescence — mirrors the `!is_drained()` check in the scalar
+/// `Testbed::run_schedule` exactly, so laned and scalar classifications
+/// stay bit-identical. (A cohort that settled before the budget is
+/// drained by construction; a drained-at-budget run is complete either
+/// way.)
+fn truncated<V: Variant>(sim: &LinkSim<V>, budget: u64) -> bool {
+    sim.now() >= budget && !drained(sim)
+}
+
+fn outcome_of<V: Variant>(sim: &LinkSim<V>, n_nodes: usize, budget: u64) -> Outcome {
+    let verdict = trace_from_can_events(sim.events(), n_nodes)
+        .check()
+        .verdict();
+    classify(verdict, sim.channel().unfired_len()).truncate_if(truncated(sim, budget))
+}
+
+/// One scalar evaluation (`run_schedule` on the engine's simulator).
+fn run_one<V: Variant>(
+    sim: &mut LinkSim<V>,
+    n_nodes: usize,
+    budget: u64,
+    schedule: &[Disturbance],
+) -> Outcome {
+    load(sim, schedule);
+    sim.run(budget);
+    outcome_of(sim, n_nodes, budget)
+}
 
 /// Evaluates every schedule in `schedules` and returns their outcomes in
 /// input order, each bit-identical to `Testbed::run_schedule` on the same

@@ -2,18 +2,17 @@
 //! ([`Testbed::run_lanes`]) against the scalar reused hot loop
 //! ([`Testbed::run_schedule`]).
 //!
-//! The workload is the one the lane engine exists for and the prefix-fork
-//! batcher cannot help with: **prefix-free** random schedules, as produced
-//! by the falsifier's random fault models — every schedule's first
-//! disturbance is drawn independently, so sorting by prefix yields groups
-//! of one. The scalar loop replays every schedule from bit zero; the lane
-//! engine rides up to 64 schedules on one fault-free trunk and peels each
-//! at its first possible divergence bit. Both leap a run's settled tail
-//! (`Simulator::run`), so the multiple prices trunk sharing alone.
-//! [`measure`] asserts both paths
-//! classify every schedule identically before it reports a rate, and the
-//! result is rendered as the `BENCH_lanes.json` artifact (schema-guarded
-//! by `scripts/check.sh`).
+//! The workload is the one the lane engine exists for: **prefix-free**
+//! random schedules, as produced by the falsifier's random fault models —
+//! every schedule's first disturbance is drawn independently, so no two
+//! share a prefix worth reusing. The scalar loop replays every schedule
+//! from bit zero; the lane engine rides up to 64 schedules on one
+//! fault-free trunk and peels each at its first possible divergence bit.
+//! Both leap a run's settled tail (`Simulator::run`), so the multiple
+//! prices trunk sharing alone. [`measure`] asserts both paths classify
+//! every schedule identically before it reports a rate, and the result
+//! is rendered as the `BENCH_lanes.json` artifact (schema-guarded by
+//! `scripts/check.sh`).
 
 use crate::hotpath::schema_fingerprint as hotpath_fingerprint;
 use crate::outcome::Outcome;
@@ -205,7 +204,7 @@ mod tests {
         let pool = prefix_free_pool(7, 128);
         assert_eq!(pool.len(), 128);
         // No families: consecutive schedules almost never share a first
-        // disturbance (the batcher's tail_pool shares in the dozens).
+        // disturbance.
         let shared = pool
             .windows(2)
             .filter(|w| !w[0].is_empty() && w[0].first() == w[1].first())

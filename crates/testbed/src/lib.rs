@@ -24,14 +24,14 @@
 //! [`Testbed::load_script`] rewinds controllers, event buffers, trace
 //! storage and the script allocation in place, so the hot loop is
 //! allocation-free after warm-up (see `BENCH_hotpath.json` at the repo
-//! root for the measured payoff). Batch callers go one step further:
-//! [`Testbed::run_batch`] sorts schedules by shared disturbance prefix,
-//! simulates each prefix once, [snapshots](Testbed::snapshot) at the
-//! divergence point and forks every tail from the [`Snapshot`] instead of
-//! replaying from bit zero (see `BENCH_batch.json`).
+//! root for the measured payoff). Campaign callers go one step further:
+//! [`Testbed::run_lanes`] packs up to 64 schedules into one cohort that
+//! runs their shared fault-free trunk once, snapshots the cluster at the
+//! first bit each schedule's script could fire and finishes that
+//! schedule from there on the scalar path (see `BENCH_lanes.json`).
+//! Packed results are checked against [`Testbed::run_schedule`], the
+//! reference path.
 
-mod batch;
-pub mod batchbench;
 mod channel;
 pub mod hotpath;
 mod lanes;

@@ -121,10 +121,10 @@ enum ClusterSnapshot {
 ///
 /// Produced by [`Testbed::snapshot`]; [`Testbed::restore`] rewinds the
 /// *same-shaped* testbed to this instant, after which continuing the run
-/// is bit-identical to never having left it. This is the fork primitive
-/// behind [`Testbed::run_batch`]: advance once through a shared schedule
-/// prefix, snapshot at the divergence point, and fork each tail from the
-/// snapshot instead of replaying from bit zero.
+/// is bit-identical to never having left it. The simulator-level capture
+/// underneath ([`SimSnapshot`]) is what [`Testbed::run_lanes`] peels
+/// lanes with: each lane resumes from the shared fault-free trunk at the
+/// first bit its script could fire instead of replaying from bit zero.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     protocol: ProtocolSpec,
@@ -530,10 +530,7 @@ impl Testbed {
             let mut calm = 0u64;
             for done in 0..max_bits {
                 sim.step();
-                let quiet = sim
-                    .nodes()
-                    .all(|n| (n.is_idle() && n.pending() == 0) || n.is_crashed());
-                calm = if quiet { calm + 1 } else { 0 };
+                calm = if crate::lanes::drained(sim) { calm + 1 } else { 0 };
                 if calm >= settle {
                     return done + 1;
                 }
@@ -569,10 +566,7 @@ impl Testbed {
     /// `true` when every node is idle with an empty queue (or crashed) —
     /// the bus has drained. Link-layer clusters only.
     pub fn is_drained(&self) -> bool {
-        link_sim!(&self.cluster, self.protocol, "is_drained", sim => {
-            sim.nodes()
-                .all(|n| (n.is_idle() && n.pending() == 0) || n.is_crashed())
-        })
+        link_sim!(&self.cluster, self.protocol, "is_drained", sim => crate::lanes::drained(sim))
     }
 
     /// The scripted disturbances that have not fired (empty for
@@ -659,30 +653,11 @@ impl Testbed {
         }
     }
 
-    /// Evaluates a whole batch of scripted schedules, returning one
-    /// [`Outcome`] per schedule in input order — each identical to what
-    /// [`Testbed::run_schedule`] would return for it on this testbed.
-    ///
-    /// Link-layer clusters route through the prefix-fork engine
-    /// (`crate::batch`): schedules are sorted so shared disturbance
-    /// prefixes become neighbours, each group's prefix is simulated once,
-    /// the cluster state is [snapshotted](Testbed::snapshot) at the
-    /// divergence point and every tail forks from the snapshot instead of
-    /// replaying from bit zero. Higher-level-protocol clusters fall back
-    /// to per-schedule [`Testbed::run_schedule`] calls.
+    /// Forwards to [`Testbed::run_lanes`]. Kept only because the pinned
+    /// repo benchmark (`perfbench/src/profile.rs`) calls it.
+    #[doc(hidden)]
     pub fn run_batch(&mut self, schedules: &[&[Disturbance]]) -> Vec<Outcome> {
-        match &mut self.cluster {
-            Cluster::Can(sim) => {
-                crate::batch::run_batch_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            Cluster::Minor(sim) => {
-                crate::batch::run_batch_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            Cluster::Major(sim) => {
-                crate::batch::run_batch_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            _ => schedules.iter().map(|s| self.run_schedule(s)).collect(),
-        }
+        self.run_lanes(schedules)
     }
 
     /// Evaluates a whole batch of scripted schedules through the 64-lane
@@ -690,11 +665,10 @@ impl Testbed {
     /// input order — each identical to what [`Testbed::run_schedule`]
     /// would return for it on this testbed.
     ///
-    /// Unlike [`Testbed::run_batch`], which only merges schedules sharing
-    /// a disturbance *prefix*, the lane engine packs up to 64 arbitrary
-    /// (prefix-free) schedules into one cohort run: while no lane's script
-    /// has fired, every lane is bit-identical to the fault-free run, so
-    /// one simulator carries all of them behind a `u64` activity mask.
+    /// The lane engine packs up to 64 arbitrary (prefix-free) schedules
+    /// into one cohort run: while no lane's script has fired, every lane
+    /// is bit-identical to the fault-free run, so one simulator carries
+    /// all of them behind a `u64` activity mask.
     /// A lane is peeled off to the scalar path at the first bit where its
     /// script could fire. Higher-level-protocol clusters fall back to
     /// per-schedule [`Testbed::run_schedule`] calls.

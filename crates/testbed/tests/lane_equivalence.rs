@@ -1,9 +1,9 @@
 //! The lane engine's correctness gate: 64-lane cohort execution
 //! ([`Testbed::run_lanes`]) must classify every schedule exactly like the
 //! scalar hot loop ([`Testbed::run_schedule`]) on the same reused
-//! testbed, across every protocol variant — the mirror of
-//! `batch_equivalence.rs` for the prefix-free workload the lane engine
-//! exists for.
+//! testbed, across every protocol variant — both on the prefix-free
+//! workload the lane engine exists for and on prefix families shaped like
+//! the falsifier's tail-biased schedules.
 //!
 //! The schedule generator deliberately covers the awkward cases: empty
 //! schedules, duplicate schedules, occurrence-2 and stuff-bit entries,
@@ -68,46 +68,56 @@ fn arb_disturbance() -> impl Strategy<Value = Disturbance> {
     })
 }
 
-/// Independent draws — no familyization: the lane engine's workload is
-/// prefix-free by construction.
+/// Independent draws: the prefix-free workload of the falsifier's random
+/// fault models.
 fn arb_schedules() -> impl Strategy<Value = Vec<Vec<Disturbance>>> {
     proptest::collection::vec(proptest::collection::vec(arb_disturbance(), 0..5), 1..12)
+}
+
+/// Nudges independent schedules into prefix families the way the
+/// falsifier's tail-biased generator does: every second schedule inherits
+/// its predecessor's leading disturbances.
+fn familyize(mut schedules: Vec<Vec<Disturbance>>) -> Vec<Vec<Disturbance>> {
+    for i in 1..schedules.len() {
+        if i % 2 == 0 {
+            continue;
+        }
+        let prefix: Vec<Disturbance> = schedules[i - 1]
+            .iter()
+            .take(schedules[i - 1].len().saturating_sub(1))
+            .cloned()
+            .collect();
+        let mut family = prefix;
+        family.extend(schedules[i].iter().cloned());
+        family.truncate(5);
+        schedules[i] = family;
+    }
+    schedules
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The tentpole gate: laned outcomes equal scalar outcomes, schedule
+    // The engine's gate: laned outcomes equal scalar outcomes, schedule
     // by schedule, on every protocol variant (HLP targets exercise the
-    // per-schedule fallback dispatch).
+    // per-schedule fallback dispatch), for the independent draws and for
+    // the same draws nudged into prefix families.
     #[test]
     fn lanes_classify_every_schedule_like_the_scalar_loop(
-        schedules in arb_schedules()
+        raw in arb_schedules()
     ) {
-        let refs: Vec<&[Disturbance]> = schedules.iter().map(Vec::as_slice).collect();
-        for protocol in ALL_PROTOCOLS {
-            let mut tb = Testbed::builder(protocol).nodes(3).build();
-            let scalar: Vec<Outcome> =
-                schedules.iter().map(|s| tb.run_schedule(s)).collect();
-            let laned = tb.run_lanes(&refs);
-            prop_assert_eq!(&laned, &scalar, "{}", protocol);
-            // A second pass on the same (now warm) testbed must agree too.
-            let again = tb.run_lanes(&refs);
-            prop_assert_eq!(&again, &scalar, "{} (warm)", protocol);
-        }
-    }
-
-    // Lane and batch engines agree with each other as well (both are
-    // gated against scalar; this closes the triangle cheaply on the
-    // link protocols, where both have dedicated paths).
-    #[test]
-    fn lanes_and_batch_agree(schedules in arb_schedules()) {
-        let refs: Vec<&[Disturbance]> = schedules.iter().map(Vec::as_slice).collect();
-        for protocol in LINK_PROTOCOLS {
-            let mut tb = Testbed::builder(protocol).nodes(3).build();
-            let laned = tb.run_lanes(&refs);
-            let batch = tb.run_batch(&refs);
-            prop_assert_eq!(&laned, &batch, "{}", protocol);
+        for schedules in [familyize(raw.clone()), raw] {
+            let refs: Vec<&[Disturbance]> = schedules.iter().map(Vec::as_slice).collect();
+            for protocol in ALL_PROTOCOLS {
+                let mut tb = Testbed::builder(protocol).nodes(3).build();
+                let scalar: Vec<Outcome> =
+                    schedules.iter().map(|s| tb.run_schedule(s)).collect();
+                let laned = tb.run_lanes(&refs);
+                prop_assert_eq!(&laned, &scalar, "{}", protocol);
+                // A second pass on the same (now warm) testbed must agree too.
+                let again = tb.run_lanes(&refs);
+                prop_assert_eq!(&again, &scalar, "{} (warm)", protocol);
+            }
         }
     }
 }

@@ -1,19 +1,14 @@
-//! The batch engine's correctness gate: prefix-fork execution
-//! ([`Testbed::run_batch`]) must classify every schedule exactly like the
-//! scalar hot loop ([`Testbed::run_schedule`]) on the same reused testbed,
-//! and a [`Testbed::snapshot`] → mutate → [`Testbed::restore`] round trip
-//! must resume bit-identically to a fresh replay — across every protocol
-//! variant and with the attacker channel attached.
-//!
-//! The schedule generator deliberately covers the awkward cases: empty
-//! schedules, duplicate schedules, occurrence-2 and stuff-bit entries,
-//! and fields on the batch engine's no-fork blacklist (`Idle`, `Sof`),
-//! which must silently take the scalar fallback.
+//! Snapshot/restore round trips: a [`Testbed::snapshot`] → mutate →
+//! [`Testbed::restore`] cycle must resume bit-identically to a fresh
+//! replay — across every protocol variant and with the attacker channel
+//! attached. The lane engine peels lanes off its fault-free trunk with
+//! the simulator-level capture underneath, so these round trips are the
+//! ground the peel stands on.
 
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::Field;
 use majorcan_faults::{AttackAction, Disturbance};
-use majorcan_testbed::{budget_for, Outcome, Testbed};
+use majorcan_testbed::{budget_for, Testbed};
 use proptest::prelude::*;
 
 const ALL_PROTOCOLS: [ProtocolSpec; 6] = [
@@ -31,8 +26,8 @@ const LINK_PROTOCOLS: [ProtocolSpec; 3] = [
     ProtocolSpec::MajorCan { m: 5 },
 ];
 
-/// Every field class the falsifier's generator reaches, plus the no-fork
-/// blacklist members a batch must route through the scalar fallback.
+/// Every field class the falsifier's generator reaches, plus the
+/// drive-phase-transition fields `Idle` and `Sof`.
 const FIELDS: [Field; 12] = [
     Field::Idle,
     Field::Sof,
@@ -62,53 +57,8 @@ fn arb_disturbance() -> impl Strategy<Value = Disturbance> {
     })
 }
 
-fn arb_schedules() -> impl Strategy<Value = Vec<Vec<Disturbance>>> {
-    proptest::collection::vec(proptest::collection::vec(arb_disturbance(), 0..5), 1..12)
-}
-
-/// Nudges independent schedules into prefix families the way the
-/// falsifier's tail-biased generator does: every second schedule inherits
-/// its predecessor's leading disturbances.
-fn familyize(mut schedules: Vec<Vec<Disturbance>>) -> Vec<Vec<Disturbance>> {
-    for i in 1..schedules.len() {
-        if i % 2 == 0 {
-            continue;
-        }
-        let prefix: Vec<Disturbance> = schedules[i - 1]
-            .iter()
-            .take(schedules[i - 1].len().saturating_sub(1))
-            .cloned()
-            .collect();
-        let mut family = prefix;
-        family.extend(schedules[i].iter().cloned());
-        family.truncate(5);
-        schedules[i] = family;
-    }
-    schedules
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // The tentpole gate: batch outcomes equal scalar outcomes, schedule
-    // by schedule, on every protocol variant.
-    #[test]
-    fn batch_classifies_every_schedule_like_the_scalar_loop(
-        raw in arb_schedules()
-    ) {
-        let schedules = familyize(raw);
-        let refs: Vec<&[Disturbance]> = schedules.iter().map(Vec::as_slice).collect();
-        for protocol in ALL_PROTOCOLS {
-            let mut tb = Testbed::builder(protocol).nodes(3).build();
-            let scalar: Vec<Outcome> =
-                schedules.iter().map(|s| tb.run_schedule(s)).collect();
-            let batch = tb.run_batch(&refs);
-            prop_assert_eq!(&batch, &scalar, "{}", protocol);
-            // A second pass on the same (now warm) testbed must agree too.
-            let again = tb.run_batch(&refs);
-            prop_assert_eq!(&again, &scalar, "{} (warm)", protocol);
-        }
-    }
 
     // snapshot() → mutate → restore() → run is bit-identical to a fresh
     // `reset_with` replay of the same schedule, for every variant.

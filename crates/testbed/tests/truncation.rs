@@ -1,13 +1,13 @@
 //! Regression tests for the quiescence-vs-budget-exhaustion distinction.
 //!
 //! A budget-exhausted run and a genuinely quiescent run used to fall out
-//! of the batch engine's `run_to_quiescence` identically, so a budget
-//! landing after the frame's delivery but before the bus drained (e.g.
-//! mid-intermission) classified as a confident `Consistent` — and the
-//! no-trip group shortcut stamped that verdict onto *every* member of a
-//! prefix group. These tests pin the fix: a run whose budget elapses
-//! while the bus is still active is [`Outcome::Truncated`], on the
-//! scalar, batch and lane paths alike.
+//! of a packed engine identically, so a budget landing after the frame's
+//! delivery but before the bus drained (e.g. mid-intermission) classified
+//! as a confident `Consistent` — and a shortcut classifying every
+//! untripped schedule from one shared run stamped that verdict onto all
+//! of them. These tests pin the fix: a run whose budget elapses while the
+//! bus is still active is [`Outcome::Truncated`], on the scalar and lane
+//! paths alike.
 
 use majorcan_can::Field;
 use majorcan_faults::Disturbance;
@@ -67,16 +67,17 @@ fn scalar_budget_landing_mid_wind_down_truncates() {
     }
 }
 
-/// The bug named in the issue: a prefix group whose tails can never trip
-/// within the budget takes the no-trip shortcut, which used to stamp the
-/// trunk's clean verdict on every member even when the trunk was cut by
-/// the budget. The shared prefix entry (third occurrence of a CRC bit)
-/// and the tails (error-flag bits) never match a fault-free run, so the
-/// trunk is the fault-free run, no peek ever trips, and with the budget
-/// inside the wind-down window the whole group must come back
-/// `Truncated` — exactly like the scalar path.
+/// A budget cut must reach every lane of a cohort, whichever way the
+/// lane finishes. No entry below ever fires on the fault-free run, and
+/// the group mixes both exits: lanes carrying the shared CRC entry (its
+/// third occurrence) peel where the transmitter enters its CRC field and
+/// replay on the scalar path, while the error-flag-only lanes never trip
+/// and are classified straight from the fault-free trunk — the shortcut
+/// that once stamped the trunk's clean verdict on every member even when
+/// the budget cut it. With the budget inside the wind-down window every
+/// member must come back `Truncated`, exactly like the scalar path.
 #[test]
-fn batch_no_trip_shortcut_reports_group_truncation() {
+fn lanes_report_truncation_for_every_member_of_a_budget_cut_group() {
     for protocol in LINK_PROTOCOLS {
         let mut prefix = Disturbance::first(0, Field::Crc, 0);
         prefix.occurrence = 3;
@@ -84,18 +85,24 @@ fn batch_no_trip_shortcut_reports_group_truncation() {
             vec![prefix.clone(), Disturbance::first(1, Field::ErrorFlag, 0)],
             vec![prefix.clone(), Disturbance::first(2, Field::ErrorFlag, 3)],
             vec![prefix, Disturbance::first(1, Field::ErrorFlag, 5)],
+            vec![
+                Disturbance::first(1, Field::ErrorFlag, 0),
+                Disturbance::first(2, Field::ErrorFlag, 3),
+            ],
+            vec![
+                Disturbance::first(0, Field::ErrorFlag, 1),
+                Disturbance::first(2, Field::ErrorFlag, 5),
+            ],
         ];
         let refs: Vec<&[Disturbance]> = schedules.iter().map(Vec::as_slice).collect();
 
         let cut = last_truncated_budget(protocol);
         let mut tb = Testbed::builder(protocol).nodes(3).budget(cut).build();
         let scalar: Vec<Outcome> = schedules.iter().map(|s| tb.run_schedule(s)).collect();
-        let batch = tb.run_batch(&refs);
         let laned = tb.run_lanes(&refs);
 
-        assert_eq!(batch, scalar, "{protocol}: batch diverges from scalar");
         assert_eq!(laned, scalar, "{protocol}: laned diverges from scalar");
-        for (i, outcome) in batch.iter().enumerate() {
+        for (i, outcome) in laned.iter().enumerate() {
             assert_eq!(
                 outcome,
                 &Outcome::Truncated { unfired: 2 },
