@@ -23,7 +23,9 @@ use crate::{
     FaultConfinement, FaultState, Field, FlagKind, Frame, Role, RxPipeline, RxStep, Variant,
     WireBit, WirePos,
 };
-use majorcan_sim::{BitNode, Level};
+use majorcan_sim::{BitNode, Level, TimedEvent};
+
+mod leap;
 
 /// Static configuration of a controller.
 #[derive(Debug, Clone)]
@@ -51,6 +53,11 @@ impl Default for ControllerConfig {
 struct PendingTx {
     frame: Frame,
     attempts: u32,
+    /// `true` for the one entry whose transmission is on the wire or
+    /// awaiting its accept/reject decision. The queue stays in pure
+    /// priority order, so a frame queued mid-transmission may sit ahead
+    /// of it; commits and retransmissions find it by this mark.
+    in_flight: bool,
 }
 
 /// Active transmission state.
@@ -268,7 +275,14 @@ impl<V: Variant> Controller<V> {
         let at = self
             .queue
             .partition_point(|p| !frame.id().outranks(p.frame.id()));
-        self.queue.insert(at, PendingTx { frame, attempts: 0 });
+        self.queue.insert(
+            at,
+            PendingTx {
+                frame,
+                attempts: 0,
+                in_flight: false,
+            },
+        );
     }
 
     /// Number of frames waiting for (re)transmission.
@@ -335,8 +349,11 @@ impl<V: Variant> Controller<V> {
     }
 
     fn start_frame_tx(&mut self, events: &mut Vec<CanEvent>) -> Level {
+        // An attempt cut short by bus-off leaves its mark behind.
+        self.drop_in_flight();
         let pending = &mut self.queue[0];
         pending.attempts += 1;
+        pending.in_flight = true;
         let frame = pending.frame.clone();
         let attempts = pending.attempts;
         let bits = encode_frame(&frame, &self.variant);
@@ -416,23 +433,42 @@ impl<V: Variant> Controller<V> {
         } else {
             self.bump_error_counter(deferred.role, events);
             match deferred.role {
-                Role::Transmitter => {
-                    if let Some(p) = self.queue.first() {
-                        events.push(CanEvent::RetransmissionScheduled {
-                            frame: p.frame.clone(),
-                        });
-                    }
-                }
+                Role::Transmitter => self.schedule_retransmission(events),
                 Role::Receiver => events.push(CanEvent::Rejected { basis }),
             }
         }
     }
 
-    fn commit_tx_success(&mut self, basis: DecisionBasis, events: &mut Vec<CanEvent>) {
-        if self.queue.is_empty() {
-            return;
+    /// Index of the queued frame whose transmission is on the wire or
+    /// awaiting its decision.
+    fn in_flight(&self) -> Option<usize> {
+        self.queue.iter().position(|p| p.in_flight)
+    }
+
+    /// Returns the in-flight frame to the queue as an ordinary waiting
+    /// entry.
+    fn drop_in_flight(&mut self) {
+        if let Some(i) = self.in_flight() {
+            self.queue[i].in_flight = false;
         }
-        let done = self.queue.remove(0);
+    }
+
+    /// The transmitter rejected its attempt: the in-flight frame waits for
+    /// an automatic retransmission.
+    fn schedule_retransmission(&mut self, events: &mut Vec<CanEvent>) {
+        if let Some(i) = self.in_flight() {
+            self.queue[i].in_flight = false;
+            events.push(CanEvent::RetransmissionScheduled {
+                frame: self.queue[i].frame.clone(),
+            });
+        }
+    }
+
+    fn commit_tx_success(&mut self, basis: DecisionBasis, events: &mut Vec<CanEvent>) {
+        let Some(i) = self.in_flight() else {
+            return;
+        };
+        let done = self.queue.remove(i);
         self.fc.on_transmit_success(&mut self.fc_scratch);
         self.drain_confinement(events);
         events.push(CanEvent::TxSucceeded {
@@ -447,11 +483,15 @@ impl<V: Variant> Controller<V> {
             return;
         }
         if let Some(frame) = self.pipe.as_ref().and_then(|p| p.frame()).cloned() {
-            self.delivered_this_frame = true;
-            events.push(CanEvent::Delivered { frame, basis });
-            self.fc.on_receive_success(&mut self.fc_scratch);
-            self.drain_confinement(events);
+            self.deliver(frame, basis, events);
         }
+    }
+
+    fn deliver(&mut self, frame: Frame, basis: DecisionBasis, events: &mut Vec<CanEvent>) {
+        self.delivered_this_frame = true;
+        events.push(CanEvent::Delivered { frame, basis });
+        self.fc.on_receive_success(&mut self.fc_scratch);
+        self.drain_confinement(events);
     }
 
     /// Begins a 6-bit dominant flag (active error or overload) next bit.
@@ -494,13 +534,7 @@ impl<V: Variant> Controller<V> {
             return;
         }
         match role {
-            Role::Transmitter => {
-                if let Some(p) = self.queue.first() {
-                    events.push(CanEvent::RetransmissionScheduled {
-                        frame: p.frame.clone(),
-                    });
-                }
-            }
+            Role::Transmitter => self.schedule_retransmission(events),
             Role::Receiver => {
                 if !self.delivered_this_frame {
                     events.push(CanEvent::Rejected {
@@ -566,11 +600,7 @@ impl<V: Variant> Controller<V> {
             // switch-off-at-warning policy exists to prevent).
             self.bump_error_counter(role, events);
             if role == Role::Transmitter {
-                if let Some(p) = self.queue.first() {
-                    events.push(CanEvent::RetransmissionScheduled {
-                        frame: p.frame.clone(),
-                    });
-                }
+                self.schedule_retransmission(events);
             } else if !self.delivered_this_frame {
                 events.push(CanEvent::Rejected {
                     basis: DecisionBasis::ErrorBeforeCommit,
@@ -584,13 +614,7 @@ impl<V: Variant> Controller<V> {
             EofReaction::RejectAndFlag => {
                 self.bump_error_counter(role, events);
                 match role {
-                    Role::Transmitter => {
-                        if let Some(p) = self.queue.first() {
-                            events.push(CanEvent::RetransmissionScheduled {
-                                frame: p.frame.clone(),
-                            });
-                        }
-                    }
+                    Role::Transmitter => self.schedule_retransmission(events),
                     Role::Receiver => {
                         if !self.delivered_this_frame {
                             events.push(CanEvent::Rejected {
@@ -689,6 +713,7 @@ impl<V: Variant> Controller<V> {
                 // Back off, keep the frame queued and continue as a
                 // receiver of the winning frame.
                 let frame = self.tx.take().expect("transmitter checked").frame;
+                self.drop_in_flight();
                 events.push(CanEvent::ArbitrationLost { frame });
             }
             TxCheck::BitError => {
@@ -1151,6 +1176,15 @@ impl<V: Variant> BitNode for Controller<V> {
         }
     }
 
+    fn leap_frame(
+        nodes: &mut [Self],
+        now: u64,
+        limit: u64,
+        events: &mut Vec<TimedEvent<CanEvent>>,
+    ) -> Option<u64> {
+        leap::leap_clean_frame(nodes, now, limit, events)
+    }
+
     fn observe(&mut self, now: u64, seen: Level, events: &mut Vec<CanEvent>) {
         if !self.pending_drive_events.is_empty() {
             events.append(&mut self.pending_drive_events);
@@ -1225,6 +1259,12 @@ impl<V: Variant> BitNode for Controller<V> {
                     };
                 }
             }
+        }
+        // A crash during this bit (shutoff at warning) is final: the error
+        // paths above choose their follow-up state after the counter bump
+        // that crashed the node, and must not revive it.
+        if self.crashed {
+            self.state = CState::Crashed;
         }
     }
 }

@@ -384,6 +384,27 @@ pub fn frame_payload_bits(frame: &Frame) -> Vec<bool> {
     bits
 }
 
+/// Where `frame`'s stuffed region (SOF through CRC) lands on the wire: its
+/// length in wire bits, stuff bits included, and the wire index of each of
+/// the 11 identifier bits.
+pub(crate) fn stuffed_geometry(frame: &Frame) -> (usize, [usize; 11]) {
+    let levels: Vec<Level> = frame_payload_bits(frame)
+        .into_iter()
+        .map(Level::from_bit)
+        .collect();
+    let stuffed = stuff(&levels);
+    let mut id_at = [0usize; 11];
+    let payload_at = stuffed
+        .iter()
+        .enumerate()
+        .filter(|(_, &(_, is_stuff))| !is_stuff)
+        .map(|(wire, _)| wire);
+    for (at, wire) in id_at.iter_mut().zip(payload_at.skip(1)) {
+        *at = wire;
+    }
+    (stuffed.len(), id_at)
+}
+
 /// Encodes `frame` into the exact on-wire bit sequence a transmitter drives,
 /// under protocol variant `variant`: the stuffed SOF..CRC region followed by
 /// the fixed-form tail (CRC delimiter, ACK slot, ACK delimiter, and
@@ -581,6 +602,27 @@ mod tests {
         assert_eq!(tail[9].pos.field, Field::CrcDelim);
         assert_eq!(wire[0].pos.field, Field::Sof);
         assert_eq!(wire[0].level, D);
+    }
+
+    #[test]
+    fn stuffed_geometry_matches_the_encoder() {
+        for raw in (0..0x7F0u16).step_by(7) {
+            for len in [0usize, 1, 4, 8] {
+                let payload: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(raw as u8)).collect();
+                let id = FrameId::new(raw).unwrap();
+                for frame in [
+                    Frame::new(id, &payload).unwrap(),
+                    Frame::new_remote(id, len as u8).unwrap(),
+                ] {
+                    let wire = encode_frame(&frame, &StandardCan);
+                    let (stuffed, id_at) = stuffed_geometry(&frame);
+                    assert_eq!(stuffed, wire.len() - 3 - StandardCan.eof_len(), "{frame}");
+                    for (i, &at) in id_at.iter().enumerate() {
+                        assert_eq!(wire[at].pos, WirePos::new(Field::Id, i as u16), "{frame}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -466,3 +466,39 @@ fn alternating_payload_has_no_stuff_bits_and_round_trips() {
     sim.run(400);
     assert_eq!(deliveries(sim.events(), NodeId(1)), vec![f]);
 }
+
+/// A higher-priority frame queued while another is on the wire waits its
+/// turn: the commit names and removes the frame that was actually sent,
+/// and the newcomer goes out next. Where a frame lands in the queue never
+/// depends on when during a frame it arrived.
+#[test]
+fn commit_names_the_frame_on_the_wire_not_the_new_queue_head() {
+    let mut sim = build(3, majorcan_sim::NoFaults);
+    let low = frame(0x200, &[2]);
+    let high = frame(0x100, &[1]);
+    sim.node_mut(NodeId(0)).enqueue(low.clone());
+    sim.run(40); // integration (11 bits), then mid-frame
+    assert!(sim.node(NodeId(0)).is_transmitting());
+    sim.node_mut(NodeId(0)).enqueue(high.clone());
+    sim.run(400);
+    let committed: Vec<(Frame, u32)> = sim
+        .events()
+        .iter()
+        .filter(|e| e.node == NodeId(0))
+        .filter_map(|e| match &e.event {
+            CanEvent::TxSucceeded {
+                frame, attempts, ..
+            } => Some((frame.clone(), *attempts)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(committed, vec![(low.clone(), 1), (high.clone(), 1)]);
+    for rx in 1..3 {
+        assert_eq!(
+            deliveries(sim.events(), NodeId(rx)),
+            vec![low.clone(), high.clone()],
+            "rx {rx}: each frame once, in bus order"
+        );
+    }
+    assert_eq!(sim.node(NodeId(0)).pending(), 0);
+}

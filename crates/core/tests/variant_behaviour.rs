@@ -10,7 +10,7 @@ use majorcan_can::{
     StandardCan, Variant, WirePos,
 };
 use majorcan_core::{MajorCan, MinorCan};
-use majorcan_sim::{ChannelModel, FnChannel, Level, NodeId, Simulator, TimedEvent};
+use majorcan_sim::{BitNode, ChannelModel, FnChannel, Level, NodeId, Simulator, TimedEvent};
 
 fn frame(id: u16, data: &[u8]) -> Frame {
     Frame::new(FrameId::new(id).unwrap(), data).unwrap()
@@ -615,4 +615,62 @@ fn minorcan_primary_accept_does_not_count_as_an_error() {
     sim.run(900);
     let x = sim.node(NodeId(1)).fault_confinement();
     assert_eq!(x.rec(), 0, "accepting X must not count an error");
+}
+
+/// A frame queued while the MajorCAN transmitter holds for its vote does
+/// not take the voted frame's place: the decision (accept or retransmit)
+/// names the frame that was on the wire, and the newcomer is sent next
+/// in priority order. Each frame reaches every receiver exactly once.
+#[test]
+fn majorcan_vote_decides_the_frame_on_the_wire_not_a_frame_queued_meanwhile() {
+    let voted = frame(0x200, &[2]);
+    let queued = frame(0x100, &[1]);
+    // The transmitter sees its first EOF bit 1 dominant: it flags, then
+    // votes.
+    let mut fired = false;
+    let channel = FnChannel(
+        move |_bit: u64, node: NodeId, tag: &WirePos, _wire: Level| {
+            let flip = !fired && node == NodeId(0) && *tag == WirePos::eof(1);
+            fired |= flip;
+            flip
+        },
+    );
+    let mut sim = build(MajorCan::proposed(), 3, channel);
+    sim.node_mut(NodeId(0)).enqueue(voted.clone());
+    let mut held = false;
+    for _ in 0..400 {
+        sim.step();
+        if !held && BitNode::tag(sim.node(NodeId(0))).field == Field::AgreementHold {
+            sim.node_mut(NodeId(0)).enqueue(queued.clone());
+            held = true;
+        }
+    }
+    assert!(held, "the transmitter never held for a vote");
+    sim.run(600);
+    let decisions: Vec<&CanEvent> = sim
+        .events()
+        .iter()
+        .filter(|e| e.node == NodeId(0))
+        .map(|e| &e.event)
+        .filter(|e| {
+            matches!(
+                e,
+                CanEvent::TxSucceeded { .. } | CanEvent::RetransmissionScheduled { .. }
+            )
+        })
+        .collect();
+    match decisions.first() {
+        Some(CanEvent::TxSucceeded { frame, .. })
+        | Some(CanEvent::RetransmissionScheduled { frame }) => {
+            assert_eq!(*frame, voted, "the vote decided the frame on the wire")
+        }
+        other => panic!("no decision for the voted frame: {other:?}"),
+    }
+    assert_eq!(tx_successes(sim.events(), NodeId(0)), 2);
+    for rx in 1..3 {
+        let mut got = deliveries(sim.events(), NodeId(rx));
+        got.sort_by_key(|f| f.id());
+        assert_eq!(got, vec![queued.clone(), voted.clone()], "rx {rx}");
+    }
+    assert_eq!(sim.node(NodeId(0)).pending(), 0);
 }

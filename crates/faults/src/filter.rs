@@ -50,6 +50,10 @@ impl<Tag, C: ChannelModel<Tag>> ChannelModel<Tag> for ActiveAfter<C> {
         // only bits the *inner* model declares skippable are skippable.
         self.inner.quiet_until(now)
     }
+
+    fn clean_until(&self, now: u64) -> u64 {
+        self.inner.clean_until(now)
+    }
 }
 
 /// Lets the inner model's faults through only at positions whose field is
@@ -105,6 +109,10 @@ impl<C: ChannelModel<WirePos>> ChannelModel<WirePos> for FieldFiltered<C> {
         // Same reasoning as `ActiveAfter`: the inner model runs every bit
         // regardless of the field filter.
         self.inner.quiet_until(now)
+    }
+
+    fn clean_until(&self, now: u64) -> u64 {
+        self.inner.clean_until(now)
     }
 }
 

@@ -208,6 +208,12 @@ impl<Tag> ChannelModel<Tag> for BurstErrors {
             (now - now % self.period) + self.period
         }
     }
+
+    fn clean_until(&self, now: u64) -> u64 {
+        // The promise above never looks at a tag or a node, so it holds
+        // whatever the nodes are doing.
+        ChannelModel::<Tag>::quiet_until(self, now)
+    }
 }
 
 /// Composes two channel models: a view is flipped iff **exactly one** of the
@@ -251,6 +257,12 @@ impl<Tag, A: ChannelModel<Tag>, B: ChannelModel<Tag>> ChannelModel<Tag> for Comp
         self.first
             .quiet_until(now)
             .min(self.second.quiet_until(now))
+    }
+
+    fn clean_until(&self, now: u64) -> u64 {
+        self.first
+            .clean_until(now)
+            .min(self.second.clean_until(now))
     }
 }
 

@@ -42,6 +42,24 @@ pub trait ChannelModel<Tag> {
     fn quiet_until(&self, now: u64) -> u64 {
         now
     }
+
+    /// First bit time at or after `now` where this model might disturb a
+    /// view or consume hidden per-bit state, **whatever the nodes do**:
+    /// for every bit in `now..clean_until(now)`, every
+    /// [`disturb`](ChannelModel::disturb) call would return `false` for
+    /// any node, tag and wire level, and skipping the calls leaves the
+    /// model in the same state as making them. This is the stronger
+    /// promise the frame leap ([`Simulator::leap_frame`]) needs, because
+    /// a leapt frame is busy: its nodes report every frame field. Models
+    /// whose verdict depends on the tag (scripts, attackers) or that draw
+    /// randomness every bit keep the default.
+    ///
+    /// The default promises nothing (`now`), which is always sound.
+    ///
+    /// [`Simulator::leap_frame`]: crate::Simulator::leap_frame
+    fn clean_until(&self, now: u64) -> u64 {
+        now
+    }
 }
 
 /// The fault-free channel: every node sees the true bus level.
@@ -65,6 +83,11 @@ impl<Tag> ChannelModel<Tag> for NoFaults {
 
     #[inline]
     fn quiet_until(&self, _now: u64) -> u64 {
+        u64::MAX
+    }
+
+    #[inline]
+    fn clean_until(&self, _now: u64) -> u64 {
         u64::MAX
     }
 }
@@ -107,6 +130,11 @@ impl<Tag> ChannelModel<Tag> for Box<dyn ChannelModel<Tag>> {
     #[inline]
     fn quiet_until(&self, now: u64) -> u64 {
         (**self).quiet_until(now)
+    }
+
+    #[inline]
+    fn clean_until(&self, now: u64) -> u64 {
+        (**self).clean_until(now)
     }
 }
 

@@ -326,6 +326,38 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
         horizon
     }
 
+    /// Tries to advance the whole bus across the next frame in one call
+    /// ([`BitNode::leap_frame`]), ending no later than bit `end`. The
+    /// channel must promise a clean bus over the whole frame
+    /// ([`ChannelModel::clean_until`]), whatever the nodes report, and
+    /// trace recording must be off. Returns `true` if the clock moved;
+    /// on `false` nothing changed and the caller steps instead.
+    ///
+    /// The workload driver calls this at every bit it would otherwise
+    /// step. [`Simulator::run`] does not: it runs from one release to the
+    /// next, and on a busy bus almost every frame has a release inside
+    /// it, which the driver queues right after the leap.
+    pub fn leap_frame(&mut self, end: u64) -> bool {
+        if self.trace.is_some() {
+            return false;
+        }
+        let limit = end.min(self.channel.clean_until(self.now));
+        if limit <= self.now {
+            return false;
+        }
+        match N::leap_frame(&mut self.nodes, self.now, limit, &mut self.events) {
+            Some(at) => {
+                debug_assert!(
+                    at > self.now && at <= limit,
+                    "a leap must end inside its limit"
+                );
+                self.now = at;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Simulates until `stop` returns `true` (checked after each bit) or
     /// until `max_bits` have elapsed, whichever comes first. Returns the
     /// number of bits simulated.

@@ -81,6 +81,31 @@ pub trait BitNode {
     fn quiescent_until(&self, now: u64) -> u64 {
         now
     }
+
+    /// Advances a whole bus of these nodes, starting at bit `now`, across
+    /// the next frame in one call, provided every view of every bit up to
+    /// `limit` is undisturbed. Returns the bit time the leap ends at (at
+    /// most `limit`), having left every node in the state stepping would
+    /// and pushed the events stepping would emit, stamped and in engine
+    /// order (by bit, then node index). Returns `None` to decline, with
+    /// nothing changed; [`Simulator::leap_frame`] then falls back to
+    /// stepping.
+    ///
+    /// The default declines, which is always sound.
+    ///
+    /// [`Simulator::leap_frame`]: crate::Simulator::leap_frame
+    fn leap_frame(
+        nodes: &mut [Self],
+        now: u64,
+        limit: u64,
+        events: &mut Vec<TimedEvent<Self::Event>>,
+    ) -> Option<u64>
+    where
+        Self: Sized,
+    {
+        let _ = (nodes, now, limit, events);
+        None
+    }
 }
 
 /// An event stamped with the bit time and node that produced it.

@@ -164,6 +164,20 @@ impl ChannelModel<WirePos> for BusChannel {
             BusChannel::IndepFull(_) | BusChannel::IndepEof(_) | BusChannel::GlobalEof(_) => now,
         }
     }
+
+    fn clean_until(&self, now: u64) -> u64 {
+        match self {
+            BusChannel::NoFaults => u64::MAX,
+            BusChannel::Bursts(c) => ChannelModel::<WirePos>::clean_until(c, now),
+            // Scripts and attackers match on the tags a busy frame reports;
+            // the per-call-rng models draw on every bit.
+            BusChannel::Scripted(_)
+            | BusChannel::Attack(_)
+            | BusChannel::IndepFull(_)
+            | BusChannel::IndepEof(_)
+            | BusChannel::GlobalEof(_) => now,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -260,12 +260,21 @@ where
 /// Steps `sim` for `horizon` bits, queueing every due release of any
 /// [`ReleaseSource`] on its node. Returns the number of frames queued.
 ///
-/// Between releases the bus runs through [`Simulator::run`], which leaps
-/// clean stretches — every node quiescent, the channel quiet (see
-/// [`Simulator::quiet_horizon`]) — instead of stepping them bit by bit,
-/// so a low-load soak costs time proportional to the *busy* bits, not
-/// the simulated span. The leap is bit-identical to stepping: state,
-/// events and timestamps are unchanged.
+/// Two leaps keep this cheap, and both are bit-identical to stepping:
+/// state, events and timestamps are unchanged.
+///
+/// - At every bit a frame could start, [`Simulator::leap_frame`] tries to
+///   carry the whole bus across the next frame in one call (every node
+///   idle and error-active, the channel promising a clean frame). The
+///   releases that fell due inside a leapt frame are queued right after
+///   it, in release order: nothing a release changes is visible before
+///   the bus is idle again.
+/// - Otherwise, a drained bus runs through [`Simulator::run`] up to the
+///   next release, leaping quiet stretches (see
+///   [`Simulator::quiet_horizon`]); a busy one steps a bit.
+///
+/// So clean traffic costs time per frame, disturbed traffic per busy bit,
+/// and neither costs anything per idle bit. No leap crosses `horizon`.
 pub fn drive_source<N, C, S>(sim: &mut Simulator<N, C>, source: &mut S, horizon: u64) -> usize
 where
     N: BitNode + FrameSink,
@@ -276,14 +285,37 @@ where
     let end = sim.now() + horizon;
     while sim.now() < end {
         let now = sim.now();
-        while source.next_at().is_some_and(|at| at <= now) {
-            let release = source.pop().expect("next_at announced a release");
-            sim.node_mut(NodeId(release.node))
-                .enqueue_frame(release.frame);
-            queued += 1;
+        queued += queue_due(sim, source, now + 1);
+        if sim.leap_frame(end) {
+            queued += queue_due(sim, source, sim.now());
+            continue;
         }
-        let next_release = source.next_at().unwrap_or(u64::MAX).min(end);
-        sim.run(next_release - now);
+        if sim.quiet_horizon() > now {
+            // A quiet bus has nothing queued: no frame starts before the
+            // next release.
+            let next_release = source.next_at().unwrap_or(u64::MAX).min(end);
+            sim.run(next_release - now);
+        } else {
+            sim.step();
+        }
+    }
+    queued
+}
+
+/// Queues every release of `source` due before bit `before`, in release
+/// order. Returns how many it queued.
+fn queue_due<N, C, S>(sim: &mut Simulator<N, C>, source: &mut S, before: u64) -> usize
+where
+    N: BitNode + FrameSink,
+    C: ChannelModel<N::Tag>,
+    S: ReleaseSource + ?Sized,
+{
+    let mut queued = 0;
+    while source.next_at().is_some_and(|at| at < before) {
+        let release = source.pop().expect("next_at announced a release");
+        sim.node_mut(NodeId(release.node))
+            .enqueue_frame(release.frame);
+        queued += 1;
     }
     queued
 }
@@ -496,6 +528,35 @@ mod tests {
                 .any(|e| matches!(e.event, CanEvent::ErrorDetected { .. })),
             "the bursts actually disturbed traffic"
         );
+    }
+
+    /// Saturated traffic leaps frame by frame, but never while a trace
+    /// records: a trace must hold every bit.
+    #[test]
+    fn frames_are_leapt_unless_a_trace_records() {
+        let sources = plan_periodic_load(3, 0.9, 110);
+        let releases: Vec<Release> = sources.iter().flat_map(|s| s.releases(4_000)).collect();
+        let mut fast = cluster(NoFaults);
+        drive_source(&mut fast, &mut Workload::new(releases.clone()), 4_000);
+        let mut traced = cluster(NoFaults);
+        traced.record_trace();
+        drive_source(&mut traced, &mut Workload::new(releases), 4_000);
+        assert_eq!(fast.events(), traced.events());
+        assert_eq!(traced.trace().map(|t| t.len()), Some(4_000));
+        let mut probe = cluster(NoFaults);
+        probe
+            .node_mut(NodeId(0))
+            .enqueue(Frame::new(FrameId::new(0x10).unwrap(), &[1]).unwrap());
+        probe.run(11); // integration
+        assert!(
+            probe.leap_frame(u64::MAX),
+            "an idle bus with a frame queued leaps"
+        );
+        probe.record_trace();
+        probe
+            .node_mut(NodeId(0))
+            .enqueue(Frame::new(FrameId::new(0x10).unwrap(), &[2]).unwrap());
+        assert!(!probe.leap_frame(u64::MAX), "no leap while a trace records");
     }
 
     #[test]

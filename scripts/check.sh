@@ -145,6 +145,20 @@ cargo run -q --release -p majorcan-traffic --bin traffic -- \
     --allow-violations >/dev/null 2>&1
 echo "    online checker gates bursty cells; --allow-violations downgrades"
 
+echo "==> E17 clean grid (10^6 frames per cell, 2 workers) against results/e17_clean.jsonl"
+# The committed clean soak grid must come back byte-identical (sorted:
+# the sink streams in completion order). The clean-frame leap carries
+# most of its 10^6-frame cells, so this takes about a minute on a
+# two-vCPU machine.
+cargo run -q --release -p majorcan-traffic --bin traffic -- \
+    1000000 8 --seed 0x7AF1C --jobs 2 --quiet --out "$tmp/e17_clean.jsonl" >/dev/null
+sort "$tmp/e17_clean.jsonl" >"$tmp/e17_clean.sorted"
+if ! sort results/e17_clean.jsonl | cmp -s - "$tmp/e17_clean.sorted"; then
+    echo "FAIL: regenerated E17 clean grid differs from results/e17_clean.jsonl" >&2
+    exit 1
+fi
+echo "    E17 clean grid byte-identical ($(wc -l <"$tmp/e17_clean.jsonl") cells)"
+
 echo "==> traffic bench smoke run (quick mode, regenerates BENCH_traffic.json)"
 cargo run -q --release -p majorcan-traffic --bin bench_traffic -- --quick
 

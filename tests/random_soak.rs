@@ -5,13 +5,24 @@ use majorcan::abcast::trace_from_can_events;
 use majorcan::can::{CanEvent, Controller, Frame, FrameId, Variant};
 use majorcan::faults::{ActiveAfter, FieldFiltered, IndependentBitErrors};
 use majorcan::protocols::{MajorCan, MinorCan};
-use majorcan::sim::{NodeId, Simulator};
+use majorcan::sim::{NodeId, Simulator, TimedEvent};
 
 const FRAMES: usize = if cfg!(debug_assertions) { 40 } else { 150 };
 
 /// Runs a multi-frame workload (every node broadcasting) under EOF-confined
 /// random errors and returns the checker report.
 fn soak<V: Variant>(variant: &V, n_nodes: usize, ber: f64, seed: u64) -> majorcan::abcast::Report {
+    trace_from_can_events(&soak_events(variant, n_nodes, ber, seed, FRAMES), n_nodes).check()
+}
+
+/// The event log of [`soak`]'s workload, `frames` frames long.
+fn soak_events<V: Variant>(
+    variant: &V,
+    n_nodes: usize,
+    ber: f64,
+    seed: u64,
+    frames: usize,
+) -> Vec<TimedEvent<CanEvent>> {
     let channel = ActiveAfter::new(
         12,
         FieldFiltered::eof_only(IndependentBitErrors::new(ber, seed)),
@@ -20,7 +31,7 @@ fn soak<V: Variant>(variant: &V, n_nodes: usize, ber: f64, seed: u64) -> majorca
     for _ in 0..n_nodes {
         sim.attach(Controller::new(variant.clone()));
     }
-    for k in 0..FRAMES {
+    for k in 0..frames {
         let node = k % n_nodes;
         let frame = Frame::new(
             FrameId::new(0x100 + node as u16).unwrap(),
@@ -32,7 +43,7 @@ fn soak<V: Variant>(variant: &V, n_nodes: usize, ber: f64, seed: u64) -> majorca
         sim.run(250);
     }
     sim.run(4_000);
-    trace_from_can_events(sim.events(), n_nodes).check()
+    sim.take_events()
 }
 
 #[test]
@@ -57,17 +68,57 @@ fn minorcan_soak_keeps_at_most_once_but_can_lose_agreement() {
 
 #[test]
 fn standard_can_soak_shows_double_receptions_at_high_rate() {
-    // At ber 3e-2 per EOF view, single flips at the last-but-one bit are
-    // frequent enough that some run shows the Fig. 1b signature.
+    // At ber 1e-2 per EOF view, single flips at the last-but-one bit are
+    // frequent enough that some run shows the Fig. 1b signature, while
+    // few nodes reach the warning level and fall silent. (At 3e-2 every
+    // node crashes before long; see the fail-silence test below.)
     let mut saw_double = false;
     for seed in 0..6u64 {
-        let report = soak(&majorcan::can::StandardCan, 4, 3e-2, seed);
+        let report = soak(&majorcan::can::StandardCan, 4, 1e-2, seed);
         if !report.at_most_once.holds {
             saw_double = true;
             break;
         }
     }
     assert!(saw_double, "expected at least one double reception");
+}
+
+/// A node the switch-off-at-warning policy crashes stays fail-silent: no
+/// event of its own follows its `Crashed` event, on any link variant,
+/// even at an EOF error rate that crashes nodes on every seed.
+#[test]
+fn crashed_nodes_stay_silent_under_heavy_eof_errors() {
+    fn check<V: Variant>(variant: &V) {
+        for seed in 0..6u64 {
+            let events = soak_events(variant, 4, 3e-2, seed, 150);
+            let mut crashes = 0;
+            for node in (0..4).map(NodeId) {
+                let mine: Vec<&CanEvent> = events
+                    .iter()
+                    .filter(|e| e.node == node)
+                    .map(|e| &e.event)
+                    .collect();
+                if let Some(at) = mine.iter().position(|e| **e == CanEvent::Crashed) {
+                    crashes += 1;
+                    assert_eq!(
+                        at + 1,
+                        mine.len(),
+                        "{} seed {seed}: {node} acted after crashing: {:?}",
+                        variant.name(),
+                        &mine[at..]
+                    );
+                }
+            }
+            assert!(
+                crashes > 0,
+                "{} seed {seed}: nothing crashed",
+                variant.name()
+            );
+        }
+    }
+    check(&majorcan::can::StandardCan);
+    check(&MinorCan);
+    check(&MajorCan::proposed());
 }
 
 #[test]
