@@ -23,19 +23,16 @@
 //! calls [`Testbed::run_schedule`] thousands of times;
 //! [`Testbed::load_script`] rewinds controllers, event buffers, trace
 //! storage and the script allocation in place, so the hot loop is
-//! allocation-free after warm-up (see `BENCH_hotpath.json` at the repo
-//! root for the measured payoff). Campaign callers go one step further:
+//! allocation-free after warm-up. Campaign callers go one step further:
 //! [`Testbed::run_lanes`] packs up to 64 schedules into one cohort that
 //! runs their shared fault-free trunk once, snapshots the cluster at the
 //! first bit each schedule's script could fire and finishes that
-//! schedule from there on the scalar path (see `BENCH_lanes.json`).
-//! Packed results are checked against [`Testbed::run_schedule`], the
-//! reference path.
+//! schedule from there on the scalar path. Packed results are checked
+//! against [`Testbed::run_schedule`], the reference path. The
+//! repository benchmark (`perfbench/`) times both.
 
 mod channel;
-pub mod hotpath;
 mod lanes;
-pub mod lanesbench;
 mod outcome;
 mod scenario_run;
 mod testbed;

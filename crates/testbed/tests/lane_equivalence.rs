@@ -15,9 +15,10 @@
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::Field;
 use majorcan_faults::{AttackAction, Disturbance};
-use majorcan_testbed::lanesbench::prefix_free_pool;
 use majorcan_testbed::{Outcome, Testbed};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const ALL_PROTOCOLS: [ProtocolSpec; 6] = [
     ProtocolSpec::StandardCan,
@@ -95,6 +96,89 @@ fn familyize(mut schedules: Vec<Vec<Disturbance>>) -> Vec<Vec<Disturbance>> {
     schedules
 }
 
+/// Lane-eligible fields the fixed pool draws from: frame-interior and
+/// frame-tail positions, the falsifier's bread and butter.
+const POOL_FIELDS: [Field; 8] = [
+    Field::Id,
+    Field::Dlc,
+    Field::Data,
+    Field::Crc,
+    Field::CrcDelim,
+    Field::AckSlot,
+    Field::AckDelim,
+    Field::ErrorFlag,
+];
+
+/// A deterministic pool of **prefix-free** schedules: 1–3 disturbances
+/// each, every one drawn independently, so no two schedules share a
+/// leading disturbance by construction bias (collisions are possible but
+/// rare; the point is there are no *families*). A sprinkle of empty
+/// schedules, occurrence-2 entries, stuff-bit targets and scalar-only
+/// (`Idle`-targeting) schedules keeps the peel bookkeeping and the
+/// scalar fallback honest.
+fn prefix_free_pool(seed: u64, count: usize) -> Vec<Vec<Disturbance>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pool = Vec::with_capacity(count);
+    for _ in 0..count {
+        if rng.gen_range(0..24) == 0 {
+            pool.push(Vec::new()); // fault-free lanes ride the trunk whole
+            continue;
+        }
+        if rng.gen_range(0..16) == 0 {
+            // A scalar-only lane: Idle is a drive-phase-transition field.
+            pool.push(vec![Disturbance::first(
+                rng.gen_range(0..3),
+                Field::Idle,
+                0,
+            )]);
+            continue;
+        }
+        let n = rng.gen_range(1..=3);
+        let mut schedule = Vec::with_capacity(n);
+        for _ in 0..n {
+            let node = rng.gen_range(0..3);
+            let field = POOL_FIELDS[rng.gen_range(0..POOL_FIELDS.len())];
+            let index = match field {
+                Field::Id => rng.gen_range(0..11),
+                Field::Dlc => rng.gen_range(0..4),
+                Field::Data => rng.gen_range(0..16),
+                Field::Crc => rng.gen_range(0..15),
+                Field::ErrorFlag => rng.gen_range(0..6),
+                _ => 0,
+            };
+            let mut d = Disturbance::first(node, field, index);
+            if rng.gen_range(0..12) == 0 {
+                d.occurrence = 2;
+            }
+            if rng.gen_range(0..12) == 0 && matches!(field, Field::Id | Field::Data) {
+                d.stuff = true;
+            }
+            schedule.push(d);
+        }
+        pool.push(schedule);
+    }
+    pool
+}
+
+/// The fixed pool is the workload the lane engine exists for only if it
+/// has no prefix families: consecutive schedules almost never share a
+/// first disturbance.
+#[test]
+fn pool_is_deterministic_and_prefix_free() {
+    assert_eq!(prefix_free_pool(7, 40), prefix_free_pool(7, 40));
+    assert_ne!(prefix_free_pool(7, 40), prefix_free_pool(8, 40));
+    let pool = prefix_free_pool(7, 128);
+    assert_eq!(pool.len(), 128);
+    let shared = pool
+        .windows(2)
+        .filter(|w| !w[0].is_empty() && w[0].first() == w[1].first())
+        .count();
+    assert!(
+        shared <= 6,
+        "{shared} prefix-sharing neighbours: the pool grew families"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -124,12 +208,13 @@ proptest! {
 
 /// More schedules than one cohort can hold: the chunker must split into
 /// full 64-lane blocks plus a partial final block, with outcomes still
-/// in input order and scalar-identical.
+/// in input order and scalar-identical. HLP clusters take the
+/// per-schedule fallback on the same pool.
 #[test]
 fn multi_block_packing_matches_scalar() {
     let pool = prefix_free_pool(0xB10C5, 64 + 64 + 17);
     let refs: Vec<&[Disturbance]> = pool.iter().map(Vec::as_slice).collect();
-    for protocol in LINK_PROTOCOLS {
+    for protocol in ALL_PROTOCOLS {
         let mut tb = Testbed::builder(protocol).nodes(3).build();
         let scalar: Vec<Outcome> = pool.iter().map(|s| tb.run_schedule(s)).collect();
         let laned = tb.run_lanes(&refs);

@@ -5,9 +5,11 @@
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::Variant;
 use majorcan_can::{CanEvent, Field, StandardCan};
-use majorcan_faults::{CrashRule, Disturbance, Scenario};
+use majorcan_faults::{scenario_frame, CrashRule, Disturbance, Scenario};
 use majorcan_sim::NodeId;
-use majorcan_testbed::{spec_of, Outcome, ScenarioRun, Testbed};
+use majorcan_testbed::{budget_for, spec_of, Outcome, ScenarioRun, Testbed, HLP_PROBE_PAYLOAD};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Assembles a fresh testbed through the builder (the one assembly path)
 /// and executes `scenario` on it.
@@ -38,6 +40,45 @@ fn run_script<V: Variant>(
         .budget(budget)
         .build()
         .run_script(&disturbances)
+}
+
+/// A deterministic pool shaped like the falsifier's schedules: mostly
+/// small scripts against the data, EOF and error-flag fields, with
+/// fault-free runs and the paper's fig1b and fig3a scripts mixed in.
+fn schedule_pool(seed: u64, count: usize) -> Vec<Vec<Disturbance>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count)
+        .map(|i| match i % 8 {
+            0 => Vec::new(),
+            1 => Scenario::fig1b().disturbances,
+            2 => Scenario::fig3a().disturbances,
+            _ => (0..rng.gen_range(1..=3))
+                .map(|_| {
+                    let node = rng.gen_range(0..3);
+                    match rng.gen_range(0..3) {
+                        0 => Disturbance::eof(node, rng.gen_range(1..=7)),
+                        1 => Disturbance::first(node, Field::Data, rng.gen_range(0..16)),
+                        _ => Disturbance::first(node, Field::ErrorFlag, rng.gen_range(0..6)),
+                    }
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// One schedule evaluated on a fresh cluster with the bit-level trace
+/// on: the shape every evaluation had before the reused, untraced
+/// [`Testbed::run_schedule`] hot loop.
+fn rebuild_and_run(protocol: ProtocolSpec, schedule: &[Disturbance]) -> Outcome {
+    let mut tb = Testbed::builder(protocol).trace(true).build();
+    tb.load_script(schedule);
+    if protocol.is_hlp() {
+        tb.broadcast(0, HLP_PROBE_PAYLOAD);
+    } else {
+        tb.enqueue(0, scenario_frame());
+    }
+    tb.run(budget_for(protocol));
+    tb.outcome()
 }
 
 #[test]
@@ -171,6 +212,25 @@ fn reused_testbed_replays_a_scenario_identically_to_a_fresh_one() {
     assert_eq!(warm.events, fresh.events);
     assert_eq!(warm.trace.len(), fresh.trace.len());
     assert_eq!(warm.unfired, fresh.unfired);
+
+    // The campaign hot loop: one reused, untraced testbed classifies a
+    // whole schedule pool like a fresh traced build, on a link variant,
+    // the paper's protocol and a higher-level protocol.
+    let pool = schedule_pool(0xBEEF, 12);
+    for protocol in [
+        ProtocolSpec::StandardCan,
+        ProtocolSpec::MajorCan { m: 5 },
+        ProtocolSpec::TotCan,
+    ] {
+        let mut reused = Testbed::builder(protocol).build();
+        for schedule in &pool {
+            assert_eq!(
+                reused.run_schedule(schedule),
+                rebuild_and_run(protocol, schedule),
+                "{protocol}: {schedule:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -22,9 +22,7 @@
 //!   the arXiv:2307.04561 captures (see `docs/TRACE_FORMAT.md`).
 //!
 //! The `traffic` binary runs the E17 soak campaign on the
-//! `majorcan-campaign` runner; `bench_traffic` regenerates
-//! `BENCH_traffic.json` (sustained frames/sec and online-checker
-//! overhead).
+//! `majorcan-campaign` runner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,7 +17,7 @@ const N_BUCKETS: usize = EXACT + (64 - 4) * SUBS;
 ///
 /// Quantiles are reported as the upper bound of the covering bucket, so
 /// they are deterministic integers; the mean is exact (sums in `u128`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,

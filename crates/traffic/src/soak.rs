@@ -80,8 +80,9 @@ pub struct SoakSpec {
     /// observable (the paper's fail-silent policy would crash the node
     /// first).
     pub shutoff_at_warning: bool,
-    /// Run the incremental checker online (off only for overhead
-    /// benchmarking).
+    /// Run the incremental checker online. With it off the outcome
+    /// carries no verdict, and every field the checker does not compute
+    /// is unchanged: the checker only observes the event stream.
     pub online_check: bool,
 }
 
@@ -638,6 +639,48 @@ mod tests {
             1,
         );
         SoakSpec::for_job(&job);
+    }
+
+    #[test]
+    fn online_checker_never_steers_the_simulation() {
+        let clean = SoakSpec::new(ProtocolSpec::MajorCan { m: 5 }, 4, 0.6, 120, 0xA1);
+        let mut bursty = SoakSpec::new(ProtocolSpec::StandardCan, 4, 0.7, 200, 0xB0);
+        bursty.burst = Some(BurstSpec {
+            period: 1_500,
+            len: 40,
+            ber_star: 0.5,
+        });
+        let unchecked_fields = |o: &SoakOutcome| {
+            (
+                [
+                    o.released,
+                    o.attempts,
+                    o.successes,
+                    o.retransmissions,
+                    o.deliveries,
+                    o.arb_losses,
+                    o.errors,
+                    o.bits,
+                    o.unmatched,
+                ],
+                o.drained,
+                o.delivery_latency.clone(),
+                o.commit_latency.clone(),
+                o.residency.clone(),
+            )
+        };
+        for mut spec in [clean, bursty] {
+            let checked = run_soak(&spec, None).unwrap();
+            spec.online_check = false;
+            let unchecked = run_soak(&spec, None).unwrap();
+            assert!(checked.report.is_some() && unchecked.report.is_none());
+            assert_eq!(
+                unchecked_fields(&checked),
+                unchecked_fields(&unchecked),
+                "burst {:?}",
+                spec.burst
+            );
+        }
     }
 
     #[test]

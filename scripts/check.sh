@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints, tests, and a campaign smoke
 # run exercising the JSONL sink, resume path and determinism end to end.
+# In a git checkout it also fails if any step changed the working tree.
 #
 #   scripts/check.sh          # everything
 #   scripts/check.sh --fast   # skip the test suite (fmt + clippy + smoke)
@@ -9,6 +10,20 @@ cd "$(dirname "$0")/.."
 
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
+
+# One line per path git reports as changed or untracked, with a hash of
+# its contents, so a step that rewrites an already-modified file shows
+# up as well as one that touches a clean file.
+tree_state() {
+    git status --porcelain --untracked-files=all | while IFS= read -r line; do
+        echo "$line $(git hash-object -- "${line:3}" 2>/dev/null)"
+    done
+}
+in_git=0
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    in_git=1
+    tree_before="$(tree_state)"
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -159,24 +174,6 @@ if ! sort results/e17_clean.jsonl | cmp -s - "$tmp/e17_clean.sorted"; then
 fi
 echo "    E17 clean grid byte-identical ($(wc -l <"$tmp/e17_clean.jsonl") cells)"
 
-echo "==> traffic bench smoke run (quick mode, regenerates BENCH_traffic.json)"
-cargo run -q --release -p majorcan-traffic --bin bench_traffic -- --quick
-
-echo "==> attack bench smoke run (quick mode, regenerates BENCH_attack.json)"
-cargo run -q --release -p majorcan-falsify --bin bench_attack -- --quick
-
-echo "==> hot-path bench smoke run (quick mode, regenerates BENCH_hotpath.json)"
-# Fails on schema drift against the committed artifact (the bin refuses to
-# overwrite a BENCH_hotpath.json whose key structure changed), then rewrites
-# it with this machine's quick-mode numbers.
-cargo run -q --release -p majorcan-testbed --bin bench_hotpath -- --quick
-
-echo "==> lane bench smoke run (quick mode, regenerates BENCH_lanes.json)"
-# Same contract as the other bench bins: identity asserted against the
-# scalar loop on every schedule before timing, schema-drift guard against
-# the committed BENCH_lanes.json, then rewritten with quick-mode numbers.
-cargo run -q --release -p majorcan-testbed --bin bench_lanes -- --quick
-
 echo "==> engine determinism smoke (same slice through lanes and scalar)"
 # The lane engine must report exactly what the scalar hot loop reports:
 # run the same falsifier slice through run_lanes (default) and
@@ -233,5 +230,16 @@ if ! grep -q "shard 1" "$tmp/tamper.err"; then
     exit 1
 fi
 echo "    flipped transcript byte detected at merge, shard named"
+
+if [[ "$in_git" -eq 1 ]]; then
+    echo "==> working tree as found"
+    tree_after="$(tree_state)"
+    if [[ "$tree_after" != "$tree_before" ]]; then
+        echo "FAIL: check.sh changed these files (< before, > after):" >&2
+        diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+        exit 1
+    fi
+    echo "    git status and file contents unchanged"
+fi
 
 echo "OK"
