@@ -17,7 +17,7 @@
 //! higher-level protocols.
 
 use crate::{AbEvent, AbTrace, MsgId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Outcome of one property.
@@ -182,6 +182,11 @@ impl fmt::Display for Report {
     }
 }
 
+/// Distinct messages a [`TraceAccumulator`] finds by scanning its table;
+/// past this many, a hash index keeps each lookup O(1). A link-layer run
+/// carries one message.
+const SCAN_LIMIT: usize = 8;
+
 /// Post-hoc accumulator behind [`check_trace`]: consumes [`AbEvent`]s one
 /// at a time and produces the detailed [`Report`] at the end.
 ///
@@ -191,15 +196,31 @@ impl fmt::Display for Report {
 /// [`WindowedChecker`](crate::WindowedChecker) consumes the same event
 /// vocabulary in O(live messages) memory and is property-tested to agree
 /// with this accumulator's verdicts.
+///
+/// Each distinct message gets a dense index on first sight, and every
+/// per-message fact is a vector slot under it, so a push costs one
+/// lookup and copies a message only the first time it is seen.
+/// [`finish`](TraceAccumulator::finish) reports in `MsgId` order and
+/// enumerates total-order violations in time proportional to the
+/// deliveries plus the violations found, so a long consistent trace
+/// checks in linear time.
 #[derive(Debug, Clone, Default)]
 pub struct TraceAccumulator {
     n_nodes: usize,
-    crashed: BTreeSet<usize>,
-    broadcasts: BTreeMap<MsgId, usize>,
-    // Per node, per msg: delivery count; plus each node's first-delivery
-    // order for the total-order check.
-    delivery_counts: BTreeMap<(usize, MsgId), usize>,
-    delivery_order: BTreeMap<usize, Vec<MsgId>>,
+    /// Per node: crashed at some point in the trace.
+    crashed: Vec<bool>,
+    /// The distinct messages, in first-seen order: a message's position
+    /// here is its dense index.
+    msgs: Vec<MsgId>,
+    /// Message → its dense index, built once the table outgrows
+    /// [`SCAN_LIMIT`]; smaller tables are scanned.
+    index: HashMap<MsgId, usize>,
+    /// Per message: the node of its first broadcast, if it had one.
+    origin: Vec<Option<usize>>,
+    /// Per message, per node (`msg * n_nodes + node`): delivery count.
+    counts: Vec<u32>,
+    /// Per node: its first deliveries, in order, as message indices.
+    order: Vec<Vec<usize>>,
 }
 
 impl TraceAccumulator {
@@ -207,57 +228,94 @@ impl TraceAccumulator {
     pub fn new(n_nodes: usize) -> TraceAccumulator {
         TraceAccumulator {
             n_nodes,
+            crashed: vec![false; n_nodes],
+            order: vec![Vec::new(); n_nodes],
             ..TraceAccumulator::default()
         }
     }
 
-    /// Consumes one event.
+    /// Consumes one event. Deliveries and crashes of nodes outside
+    /// `0..n_nodes` are ignored: such a node is never correct, so no
+    /// property reads them.
     pub fn push(&mut self, event: &AbEvent) {
         match event {
-            AbEvent::Broadcast { node, msg } => {
-                self.broadcasts.entry(msg.clone()).or_insert(*node);
-            }
-            AbEvent::Deliver { node, msg } => {
-                let count = self
-                    .delivery_counts
-                    .entry((*node, msg.clone()))
-                    .or_insert(0);
-                *count += 1;
-                if *count == 1 {
-                    self.delivery_order
-                        .entry(*node)
-                        .or_default()
-                        .push(msg.clone());
-                }
-            }
-            AbEvent::Crash { node } => {
-                self.crashed.insert(*node);
-            }
+            AbEvent::Broadcast { node, msg } => self.broadcast(*node, msg),
+            AbEvent::Deliver { node, msg } => self.deliver(*node, msg),
+            AbEvent::Crash { node } => self.crash(*node),
         }
+    }
+
+    /// `node` broadcast `msg`. Only a message's first broadcast counts:
+    /// its node is the origin AB1 holds to account.
+    pub(crate) fn broadcast(&mut self, node: usize, msg: &MsgId) {
+        let m = self.intern(msg);
+        self.origin[m].get_or_insert(node);
+    }
+
+    /// `msg` was delivered at `node`.
+    pub(crate) fn deliver(&mut self, node: usize, msg: &MsgId) {
+        if node >= self.n_nodes {
+            return;
+        }
+        let m = self.intern(msg);
+        let count = &mut self.counts[m * self.n_nodes + node];
+        *count += 1;
+        if *count == 1 {
+            self.order[node].push(m);
+        }
+    }
+
+    /// `node` crashed.
+    pub(crate) fn crash(&mut self, node: usize) {
+        if let Some(crashed) = self.crashed.get_mut(node) {
+            *crashed = true;
+        }
+    }
+
+    /// The dense index of `msg`, assigned on first sight.
+    fn intern(&mut self, msg: &MsgId) -> usize {
+        let found = if self.index.is_empty() {
+            self.msgs.iter().position(|known| known == msg)
+        } else {
+            self.index.get(msg).copied()
+        };
+        if let Some(m) = found {
+            return m;
+        }
+        let m = self.msgs.len();
+        self.msgs.push(msg.clone());
+        self.origin.push(None);
+        self.counts.resize(self.counts.len() + self.n_nodes, 0);
+        if m == SCAN_LIMIT {
+            self.index = self.msgs.iter().cloned().zip(0..).collect();
+        } else if m > SCAN_LIMIT {
+            self.index.insert(msg.clone(), m);
+        }
+        m
     }
 
     /// Runs the AB1–AB5 property checks over everything pushed so far.
     pub fn finish(&self) -> Report {
-        let correct: BTreeSet<usize> = (0..self.n_nodes)
-            .filter(|n| !self.crashed.contains(n))
-            .collect();
-        let broadcasts = &self.broadcasts;
-        let delivery_counts = &self.delivery_counts;
-        let delivery_order = &self.delivery_order;
+        let n = self.n_nodes;
+        let correct: Vec<usize> = (0..n).filter(|&node| !self.crashed[node]).collect();
+        let names = &self.msgs;
+        // Every property reports in `MsgId` order.
+        let mut sorted: Vec<usize> = (0..names.len()).collect();
+        sorted.sort_unstable_by_key(|&m| &names[m]);
+        let count = |node: usize, m: usize| self.counts[m * n + node];
+        let delivered_by_correct = |m: usize| correct.iter().any(|&node| count(node, m) > 0);
 
         // AB1 Validity: broadcast by correct node ⇒ delivered by some
         // correct node.
         let mut validity = Vec::new();
-        for (msg, origin) in broadcasts {
-            if !correct.contains(origin) {
+        for &m in &sorted {
+            let Some(origin) = self.origin[m] else {
                 continue;
-            }
-            let delivered_somewhere = correct
-                .iter()
-                .any(|n| delivery_counts.contains_key(&(*n, msg.clone())));
-            if !delivered_somewhere {
+            };
+            if origin < n && !self.crashed[origin] && !delivered_by_correct(m) {
                 validity.push(format!(
-                    "{msg} broadcast by correct n{origin} but never delivered to any correct node"
+                    "{} broadcast by correct n{origin} but never delivered to any correct node",
+                    names[m]
                 ));
             }
         }
@@ -265,75 +323,47 @@ impl TraceAccumulator {
         // AB2 Agreement: delivered by one correct node ⇒ delivered by all.
         let mut agreement = Vec::new();
         let mut imo_messages = Vec::new();
-        let delivered_msgs: BTreeSet<MsgId> = delivery_counts
-            .keys()
-            .filter(|(n, _)| correct.contains(n))
-            .map(|(_, m)| m.clone())
-            .collect();
-        for msg in &delivered_msgs {
-            let missing: Vec<usize> = correct
+        for &m in &sorted {
+            if !delivered_by_correct(m) {
+                continue;
+            }
+            let missing: Vec<String> = correct
                 .iter()
-                .copied()
-                .filter(|n| !delivery_counts.contains_key(&(*n, msg.clone())))
+                .filter(|&&node| count(node, m) == 0)
+                .map(|node| format!("n{node}"))
                 .collect();
             if !missing.is_empty() {
-                imo_messages.push(msg.clone());
+                imo_messages.push(names[m].clone());
                 agreement.push(format!(
-                    "{msg} delivered to some correct nodes but not to {}",
-                    missing
-                        .iter()
-                        .map(|n| format!("n{n}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    "{} delivered to some correct nodes but not to {}",
+                    names[m],
+                    missing.join(", ")
                 ));
             }
         }
 
-        // AB3 At-most-once.
+        // AB3 At-most-once and AB4 Non-triviality, by node, then message.
         let mut at_most_once = Vec::new();
         let mut double_deliveries = Vec::new();
-        for ((node, msg), count) in delivery_counts {
-            if correct.contains(node) && *count > 1 {
-                double_deliveries.push((*node, msg.clone()));
-                at_most_once.push(format!("n{node} delivered {msg} {count} times"));
-            }
-        }
-
-        // AB4 Non-triviality.
         let mut non_triviality = Vec::new();
-        for (node, msg) in delivery_counts.keys() {
-            if correct.contains(node) && !broadcasts.contains_key(msg) {
-                non_triviality.push(format!("n{node} delivered {msg}, which nobody broadcast"));
-            }
-        }
-        non_triviality.dedup();
-
-        // AB5 Total order: pairwise consistency of first-delivery orders.
-        let mut total_order = Vec::new();
-        let correct_vec: Vec<usize> = correct.iter().copied().collect();
-        for (i, &a) in correct_vec.iter().enumerate() {
-            for &b in &correct_vec[i + 1..] {
-                let empty = Vec::new();
-                let oa = delivery_order.get(&a).unwrap_or(&empty);
-                let ob = delivery_order.get(&b).unwrap_or(&empty);
-                let pos_a: BTreeMap<&MsgId, usize> =
-                    oa.iter().enumerate().map(|(i, m)| (m, i)).collect();
-                let pos_b: BTreeMap<&MsgId, usize> =
-                    ob.iter().enumerate().map(|(i, m)| (m, i)).collect();
-                let common: Vec<&MsgId> = oa.iter().filter(|m| pos_b.contains_key(m)).collect();
-                for (x, m1) in common.iter().enumerate() {
-                    for m2 in &common[x + 1..] {
-                        let fwd_a = pos_a[*m1] < pos_a[*m2];
-                        let fwd_b = pos_b[*m1] < pos_b[*m2];
-                        if fwd_a != fwd_b {
-                            total_order.push(format!(
-                                "n{a} delivers {m1} before {m2}, n{b} the other way around"
-                            ));
-                        }
-                    }
+        for &node in &correct {
+            for &m in &sorted {
+                let times = count(node, m);
+                if times > 1 {
+                    double_deliveries.push((node, names[m].clone()));
+                    at_most_once.push(format!("n{node} delivered {} {times} times", names[m]));
+                }
+                if times > 0 && self.origin[m].is_none() {
+                    non_triviality.push(format!(
+                        "n{node} delivered {}, which nobody broadcast",
+                        names[m]
+                    ));
                 }
             }
         }
+
+        // AB5 Total order: pairwise consistency of first-delivery orders.
+        let total_order = self.order_violations(&correct);
 
         Report {
             validity: PropertyResult::violated(validity),
@@ -344,6 +374,82 @@ impl TraceAccumulator {
             imo_messages,
             double_deliveries,
         }
+    }
+
+    /// The AB5 violations between every pair of `correct` nodes. Walking
+    /// the messages both nodes delivered in `a`'s order, a pair is
+    /// inverted exactly when `b` delivered the later one first.
+    fn order_violations(&self, correct: &[usize]) -> Vec<String> {
+        let mut violations = Vec::new();
+        if self.msgs.len() < 2 {
+            return violations;
+        }
+        let mut pos_b = vec![usize::MAX; self.msgs.len()];
+        let (mut common, mut at_b) = (Vec::new(), Vec::new());
+        for (i, &a) in correct.iter().enumerate() {
+            for &b in &correct[i + 1..] {
+                for (p, &m) in self.order[b].iter().enumerate() {
+                    pos_b[m] = p;
+                }
+                common.clear();
+                at_b.clear();
+                for &m in &self.order[a] {
+                    if pos_b[m] != usize::MAX {
+                        common.push(m);
+                        at_b.push(pos_b[m]);
+                    }
+                }
+                for_each_inversion(&at_b, |x, y| {
+                    violations.push(format!(
+                        "n{a} delivers {} before {}, n{b} the other way around",
+                        self.msgs[common[x]], self.msgs[common[y]]
+                    ));
+                });
+                for &m in &self.order[b] {
+                    pos_b[m] = usize::MAX;
+                }
+            }
+        }
+        violations
+    }
+}
+
+/// Calls `pair(x, y)` for every inverted pair of `values` (`x < y` and
+/// `values[x] > values[y]`) in lexicographic order, in
+/// O((values + pairs) · log values) time: a min-tree over the values
+/// lets each `x` descend only into ranges holding a smaller value.
+fn for_each_inversion(values: &[usize], mut pair: impl FnMut(usize, usize)) {
+    if values.windows(2).all(|w| w[0] < w[1]) {
+        return;
+    }
+    let leaves = values.len().next_power_of_two();
+    let mut tree = vec![usize::MAX; 2 * leaves];
+    tree[leaves..leaves + values.len()].copy_from_slice(values);
+    for node in (1..leaves).rev() {
+        tree[node] = tree[2 * node].min(tree[2 * node + 1]);
+    }
+    /// Reports every leaf of `node` (covering `lo..hi`) at or after `from`
+    /// whose value is below `bound`, left to right.
+    fn below(
+        tree: &[usize],
+        (node, lo, hi): (usize, usize, usize),
+        from: usize,
+        bound: usize,
+        hit: &mut impl FnMut(usize),
+    ) {
+        if hi <= from || tree[node] >= bound {
+            return;
+        }
+        if hi - lo == 1 {
+            hit(lo);
+            return;
+        }
+        let mid = (lo + hi) / 2;
+        below(tree, (2 * node, lo, mid), from, bound, hit);
+        below(tree, (2 * node + 1, mid, hi), from, bound, hit);
+    }
+    for (x, &value) in values.iter().enumerate() {
+        below(&tree, (1, 0, leaves), x + 1, value, &mut |y| pair(x, y));
     }
 }
 

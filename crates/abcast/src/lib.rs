@@ -16,7 +16,8 @@
 //!   for soak runs streaming millions of frames;
 //! * [`trace_from_can_events`] — the adapter from raw CAN controller logs
 //!   (link-layer semantics, transmitter self-delivery included);
-//!   [`WindowedChecker::push_can`] is its streaming counterpart.
+//!   [`check_can_events`] grades such a log without building the trace,
+//!   and [`WindowedChecker::push_can`] is its streaming counterpart.
 //!
 //! # Examples
 //!
@@ -43,7 +44,7 @@ mod incremental;
 mod render;
 mod trace;
 
-pub use adapter::{msg_id_of, trace_from_can_events};
+pub use adapter::{check_can_events, msg_id_of, trace_from_can_events};
 pub use checker::{check_trace, PropertyResult, Report, TraceAccumulator, Verdict};
 pub use incremental::{OnlineReport, WindowedChecker, MAX_NODES};
 pub use render::render_delivery_matrix;

@@ -81,6 +81,12 @@ impl fmt::Display for Disturbance {
 /// A channel model executing a fixed list of [`Disturbance`]s, each exactly
 /// once.
 ///
+/// Entries count a visit to their position in script order, up to the
+/// first entry that fires on it; later entries do not count that bit.
+/// Once every entry has fired, the script promises a clean bus
+/// ([`ChannelModel::clean_until`]), so the frames sent after it (a forced
+/// retransmission) are leapt instead of stepped.
+///
 /// # Examples
 ///
 /// ```
@@ -175,26 +181,37 @@ impl ChannelModel<WirePos> for ScriptedFaults {
         }
     }
 
+    fn clean_until(&self, now: u64) -> u64 {
+        // An exhausted script never disturbs again, whatever the tags.
+        if self.pending.is_empty() {
+            u64::MAX
+        } else {
+            now
+        }
+    }
+
     fn disturb(&mut self, _bit: u64, node: NodeId, tag: &WirePos, _wire: Level) -> bool {
-        let mut fired = false;
-        self.pending.retain_mut(|(d, seen)| {
-            if fired {
-                return true;
-            }
+        // Matching entries count the visit in script order, up to the
+        // first one that fires: entries after it do not count this bit.
+        let fired = self.pending.iter_mut().position(|(d, seen)| {
             if d.node == node.index()
                 && d.field == tag.field
                 && d.index == tag.index
                 && d.stuff == tag.stuff
             {
                 *seen += 1;
-                if *seen >= d.occurrence {
-                    fired = true;
-                    return false;
-                }
+                *seen >= d.occurrence
+            } else {
+                false
             }
-            true
         });
-        fired
+        match fired {
+            Some(i) => {
+                self.pending.remove(i);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -276,6 +293,46 @@ mod tests {
     fn display_is_informative() {
         let d = Disturbance::eof(1, 6);
         assert_eq!(d.to_string(), "n1 view of EOF6 (occurrence 1)");
+    }
+
+    /// A known defect, pinned until it is fixed on its own: once an entry
+    /// fires on a bit, later entries in script order do not count that
+    /// bit as an occurrence. So the same two entries on one position
+    /// mean different things in different orders — `[occ 1, occ 2]`
+    /// needs three visits to fire both, `[occ 2, occ 1]` two.
+    #[test]
+    fn a_firing_entry_hides_its_bit_from_later_entries() {
+        let at = |occurrence| Disturbance {
+            occurrence,
+            ..Disturbance::eof(1, 1)
+        };
+        let visit = |s: &mut ScriptedFaults, bit| {
+            s.disturb(bit, NodeId(1), &pos(Field::Eof, 0), Level::Recessive)
+        };
+
+        let mut first_then_second = ScriptedFaults::new(vec![at(1), at(2)]);
+        assert!(visit(&mut first_then_second, 0), "occurrence 1 fires");
+        assert!(
+            !visit(&mut first_then_second, 1),
+            "occurrence 2 saw one visit"
+        );
+        assert_eq!(first_then_second.unfired(), vec![at(2)]);
+        assert!(visit(&mut first_then_second, 2), "and fires on the third");
+
+        let mut second_then_first = ScriptedFaults::new(vec![at(2), at(1)]);
+        assert!(visit(&mut second_then_first, 0), "occurrence 1 fires");
+        assert!(visit(&mut second_then_first, 1), "occurrence 2 fires");
+        assert!(second_then_first.exhausted());
+    }
+
+    #[test]
+    fn only_an_exhausted_script_promises_a_clean_bus() {
+        let clean = |s: &ScriptedFaults| ChannelModel::<WirePos>::clean_until(s, 40);
+        assert_eq!(clean(&ScriptedFaults::default()), u64::MAX);
+        let mut s = ScriptedFaults::new(vec![Disturbance::eof(1, 6)]);
+        assert_eq!(clean(&s), 40, "an entry is pending");
+        assert!(s.disturb(0, NodeId(1), &pos(Field::Eof, 5), Level::Recessive));
+        assert_eq!(clean(&s), u64::MAX, "the script has fully fired");
     }
 
     #[test]

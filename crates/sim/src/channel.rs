@@ -50,8 +50,9 @@ pub trait ChannelModel<Tag> {
     /// any node, tag and wire level, and skipping the calls leaves the
     /// model in the same state as making them. This is the stronger
     /// promise the frame leap ([`Simulator::leap_frame`]) needs, because
-    /// a leapt frame is busy: its nodes report every frame field. Models
-    /// whose verdict depends on the tag (scripts, attackers) or that draw
+    /// a leapt frame is busy: its nodes report every frame field. A model
+    /// whose verdict depends on the tag can promise only once nothing is
+    /// left to match (a script that has fully fired); models that draw
     /// randomness every bit keep the default.
     ///
     /// The default promises nothing (`now`), which is always sound.

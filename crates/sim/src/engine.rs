@@ -278,19 +278,26 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
 
     /// Simulates `bits` bit times.
     ///
-    /// Stretches that [`Simulator::quiet_horizon`] proves inert are leapt
-    /// in one clock update instead of being stepped bit by bit, so a run
-    /// that settles early (every node idle or crashed, the channel quiet)
-    /// costs time proportional to its busy bits, not to `bits`. The leap
-    /// is bit-identical to stepping: state, events and timestamps are
-    /// unchanged, and the clock still ends at `now + bits`.
+    /// Two leaps replace stepping wherever they apply:
+    ///
+    /// - stretches that [`Simulator::quiet_horizon`] proves inert (every
+    ///   node idle or crashed, the channel quiet) are leapt in one clock
+    ///   update;
+    /// - at every other bit, [`Simulator::leap_frame`] tries to carry the
+    ///   whole bus across the next frame (every node idle and
+    ///   error-active, the channel promising a clean bus), and the bit is
+    ///   stepped only if it declines.
+    ///
+    /// Both leaps are bit-identical to stepping: state, events and
+    /// timestamps are unchanged, and the clock still ends at
+    /// `now + bits`.
     pub fn run(&mut self, bits: u64) {
         let end = self.now.saturating_add(bits);
         while self.now < end {
             let horizon = self.quiet_horizon();
             if horizon > self.now {
                 self.now = horizon.min(end);
-            } else {
+            } else if !self.leap_frame(end) {
                 self.step();
             }
         }
@@ -333,10 +340,10 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     /// trace recording must be off. Returns `true` if the clock moved;
     /// on `false` nothing changed and the caller steps instead.
     ///
-    /// The workload driver calls this at every bit it would otherwise
-    /// step. [`Simulator::run`] does not: it runs from one release to the
-    /// next, and on a busy bus almost every frame has a release inside
-    /// it, which the driver queues right after the leap.
+    /// [`Simulator::run`] calls this at every bit it would otherwise step.
+    /// The workload driver calls it too, before running to the next
+    /// release: a release that falls due inside a leapt frame must be
+    /// queued right after the leap, which `run` cannot do.
     pub fn leap_frame(&mut self, end: u64) -> bool {
         if self.trace.is_some() {
             return false;
@@ -658,6 +665,67 @@ mod tests {
         sim.run(100);
         assert_eq!(sim.node(NodeId(0)).observed, 100);
         assert_eq!(sim.trace().map(|t| t.len()), Some(100));
+    }
+
+    /// Never quiescent; as a bus, leaps in 10-bit frames wherever the
+    /// limit allows, logging each leap's end at its start.
+    struct Framed {
+        observed: u64,
+    }
+
+    impl BitNode for Framed {
+        type Tag = ();
+        type Event = u64;
+
+        fn drive(&mut self, _now: u64) -> Level {
+            R
+        }
+
+        fn tag(&self) {}
+
+        fn observe(&mut self, _now: u64, _seen: Level, _events: &mut Vec<u64>) {
+            self.observed += 1;
+        }
+
+        fn leap_frame(
+            _nodes: &mut [Self],
+            now: u64,
+            limit: u64,
+            events: &mut Vec<TimedEvent<u64>>,
+        ) -> Option<u64> {
+            let end = now + 10;
+            (end <= limit).then(|| {
+                events.push(TimedEvent {
+                    at: now,
+                    node: NodeId(0),
+                    event: end,
+                });
+                end
+            })
+        }
+    }
+
+    #[test]
+    fn run_leaps_clean_frames_and_steps_the_rest() {
+        let mut sim = Simulator::new(NoFaults);
+        sim.attach(Framed { observed: 0 });
+        sim.run(25);
+        assert_eq!(sim.now(), 25);
+        let leaps: Vec<(u64, u64)> = sim.events().iter().map(|e| (e.at, e.event)).collect();
+        assert_eq!(leaps, vec![(0, 10), (10, 20)], "no leap crosses the end");
+        assert_eq!(sim.node(NodeId(0)).observed, 5, "bits 20..25 were stepped");
+
+        // No leap without the channel's clean promise, nor with a trace on.
+        let mut sim = Simulator::new(FnChannel(|_, _, _: &(), _| false));
+        sim.attach(Framed { observed: 0 });
+        sim.run(25);
+        assert_eq!(sim.node(NodeId(0)).observed, 25);
+        let mut sim = Simulator::new(NoFaults);
+        sim.attach(Framed { observed: 0 });
+        sim.record_trace();
+        sim.run(25);
+        assert_eq!(sim.node(NodeId(0)).observed, 25);
+        assert!(sim.events().is_empty());
     }
 
     #[test]

@@ -168,11 +168,15 @@ impl ChannelModel<WirePos> for BusChannel {
     fn clean_until(&self, now: u64) -> u64 {
         match self {
             BusChannel::NoFaults => u64::MAX,
+            // A script promises a clean bus once every entry has fired.
+            BusChannel::Scripted(c) => c.clean_until(now),
             BusChannel::Bursts(c) => ChannelModel::<WirePos>::clean_until(c, now),
-            // Scripts and attackers match on the tags a busy frame reports;
-            // the per-call-rng models draw on every bit.
-            BusChannel::Scripted(_)
-            | BusChannel::Attack(_)
+            // An attacker matches on the tags a busy frame reports. A
+            // spent one is inert, but leaping after it would reach only
+            // about 2 % of the attack campaign's stepped bits, so it
+            // promises nothing. The per-call-rng models draw on every
+            // bit.
+            BusChannel::Attack(_)
             | BusChannel::IndepFull(_)
             | BusChannel::IndepEof(_)
             | BusChannel::GlobalEof(_) => now,

@@ -32,8 +32,9 @@
 //! schedule) + run` is the scalar run. Peeling earlier than strictly
 //! necessary (the watch is field-granular, ignoring index/stuff) only
 //! costs trunk sharing, never correctness. Runs finish through [`Simulator::run`],
-//! which leaps the bus fixpoint exactly as the scalar path does. Gated
-//! by `tests/lane_equivalence.rs` and the lane-vs-scalar diff in
+//! which leaps the bus fixpoint, and every frame sent once the lane's
+//! script has fully fired, exactly as the scalar path does. Gated by
+//! `tests/lane_equivalence.rs` and the lane-vs-scalar diffs in
 //! `scripts/check.sh`.
 //!
 //! [`Testbed::run_schedule`]: crate::Testbed::run_schedule
@@ -41,7 +42,7 @@
 
 use crate::channel::BusChannel;
 use crate::outcome::{classify, Outcome};
-use majorcan_abcast::trace_from_can_events;
+use majorcan_abcast::check_can_events;
 use majorcan_can::{Controller, Field, Variant};
 use majorcan_faults::{scenario_frame, Disturbance};
 use majorcan_sim::{BitNode, LaneSim, NodeId, SimSnapshot, Simulator, WatchTable, MAX_LANES};
@@ -97,9 +98,7 @@ fn truncated<V: Variant>(sim: &LinkSim<V>, budget: u64) -> bool {
 }
 
 fn outcome_of<V: Variant>(sim: &LinkSim<V>, n_nodes: usize, budget: u64) -> Outcome {
-    let verdict = trace_from_can_events(sim.events(), n_nodes)
-        .check()
-        .verdict();
+    let verdict = check_can_events(sim.events(), n_nodes).verdict();
     classify(verdict, sim.channel().unfired_len()).truncate_if(truncated(sim, budget))
 }
 
@@ -189,9 +188,7 @@ fn run_chunk<V: Variant>(
     // the whole schedule counts unfired, and the cohort's truncation
     // status is theirs too.
     if lanes.active() != 0 {
-        let verdict = trace_from_can_events(sim.events(), n_nodes)
-            .check()
-            .verdict();
+        let verdict = check_can_events(sim.events(), n_nodes).verdict();
         let cut = truncated(sim, budget);
         for (lane, schedule) in schedules.iter().enumerate() {
             if lanes.is_live(lane) {

@@ -3,7 +3,7 @@
 use crate::channel::BusChannel;
 use crate::outcome::{classify, Outcome};
 use crate::scenario_run::ScenarioRun;
-use majorcan_abcast::trace_from_can_events;
+use majorcan_abcast::check_can_events;
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::{CanEvent, Controller, ControllerConfig, Frame, Variant};
 use majorcan_core::{MajorCan, MinorCan};
@@ -499,7 +499,8 @@ impl Testbed {
     }
 
     /// Simulates `bits` bit times, leaping stretches the bus provably
-    /// idles through (see [`Simulator::run`]).
+    /// idles through and, on a link cluster, every frame the channel
+    /// promises clean (see [`Simulator::run`]).
     pub fn run(&mut self, bits: u64) {
         each_sim!(&mut self.cluster, sim => sim.run(bits));
     }
@@ -603,15 +604,9 @@ impl Testbed {
     pub fn outcome(&self) -> Outcome {
         let unfired = self.unfired_len();
         let verdict = match &self.cluster {
-            Cluster::Can(sim) => trace_from_can_events(sim.events(), self.n_nodes)
-                .check()
-                .verdict(),
-            Cluster::Minor(sim) => trace_from_can_events(sim.events(), self.n_nodes)
-                .check()
-                .verdict(),
-            Cluster::Major(sim) => trace_from_can_events(sim.events(), self.n_nodes)
-                .check()
-                .verdict(),
+            Cluster::Can(sim) => check_can_events(sim.events(), self.n_nodes).verdict(),
+            Cluster::Minor(sim) => check_can_events(sim.events(), self.n_nodes).verdict(),
+            Cluster::Major(sim) => check_can_events(sim.events(), self.n_nodes).verdict(),
             Cluster::Ed(sim) => trace_from_hlp_events(sim.events(), self.n_nodes)
                 .check()
                 .verdict(),
@@ -632,7 +627,9 @@ impl Testbed {
     /// configured budget without trace recording and classifies the run.
     /// Bits after the run settles — every node idle or crashed, no timer
     /// pending, no script entry an idle bus could still match — are
-    /// leapt, not stepped.
+    /// leapt, not stepped. On a link cluster, so is every frame sent
+    /// after the script has fully fired (typically the retransmission
+    /// the script forced): only the disturbed attempts are stepped.
     ///
     /// On a link cluster, a run whose budget elapses while the bus is
     /// still active (not [`Testbed::is_drained`]) classifies as

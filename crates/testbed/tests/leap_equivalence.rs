@@ -1,6 +1,7 @@
-//! The quiet-stretch leap's correctness gate. `Simulator::run` leaps
-//! every stretch its quiet horizon proves inert, so every testbed run
-//! path — `run_schedule` on link and higher-level-protocol clusters,
+//! The leaps' correctness gate. `Simulator::run` leaps every stretch its
+//! quiet horizon proves inert, and every frame the channel promises
+//! clean (a script that has fully fired), so every testbed run path —
+//! `run_schedule` on link and higher-level-protocol clusters,
 //! `run_attack`, and plain `Testbed::run` — ends at the bus fixpoint
 //! instead of stepping its whole budget. Each leaping run here is
 //! compared with a stepped reference (the same cluster driven by a plain
@@ -15,7 +16,9 @@
 //! The second part pins the early exit itself: a pass-through channel
 //! counts `disturb` calls (one per node per stepped bit) and shows that
 //! clean runs and a bus-off attack step far fewer bits than their
-//! budgets, so a state that loses its quiescence promise fails here.
+//! budgets, so a state that loses its quiescence promise fails here, and
+//! that a retransmission is leapt exactly when the script has fully
+//! fired and no trace records.
 //!
 //! The third part gates the clean-frame leap of the soak driver
 //! (`drive_source`): random traffic, whole soak cells, and the share of
@@ -550,11 +553,75 @@ fn clean_can_run_steps_only_its_frame() {
         .filter(|e| matches!(e.event, CanEvent::Delivered { .. }))
         .count();
     assert_eq!(delivered, N_NODES - 1, "every receiver delivered");
-    // Measured: 67 bits (integration, the frame, intermission).
+    // Measured: 11 bits, the bus integration; the empty script promises
+    // a clean bus, so the frame and its intermission are leapt.
     let stepped = stepped_bits(&sim);
     assert!(
-        stepped <= 100,
+        stepped <= 20,
         "a clean CAN run stepped {stepped} of {LINK_BUDGET} bits"
+    );
+}
+
+/// A MajorCAN_5 schedule that forces a retransmission: two receivers see
+/// a dominant first EOF bit, and both flips fire in the first attempt.
+fn forced_retransmission() -> Vec<Disturbance> {
+    vec![Disturbance::eof(1, 1), Disturbance::eof(2, 1)]
+}
+
+/// Runs node 0's scenario frame over `schedule` on MajorCAN_5 up to bit
+/// `split`, then on to the budget; returns the event log and the bits
+/// stepped after `split`.
+fn steps_after(schedule: &[Disturbance], split: u64) -> (Vec<TimedEvent<CanEvent>>, u64) {
+    let channel = BusChannel::scripted(schedule.to_vec());
+    let mut sim = counted_link(MajorCan::new(5).expect("m in range"), true, channel);
+    sim.run(split);
+    let before = stepped_bits(&sim);
+    sim.run(LINK_BUDGET - split);
+    (sim.events().to_vec(), stepped_bits(&sim) - before)
+}
+
+#[test]
+fn a_fully_fired_script_leaps_the_retransmission() {
+    let schedule = forced_retransmission();
+    let channel = BusChannel::scripted(schedule.clone());
+    let mut traced = counted_link(MajorCan::new(5).expect("m in range"), true, channel);
+    traced.record_trace();
+    traced.run(LINK_BUDGET);
+    assert_eq!(traced.channel().inner.unfired_len(), 0, "both flips fired");
+    assert_eq!(
+        stepped_bits(&traced),
+        LINK_BUDGET,
+        "a trace-recording run steps every bit"
+    );
+    let at = |event: fn(&CanEvent) -> bool| {
+        traced
+            .events()
+            .iter()
+            .find(|e| e.node == NodeId(0) && event(&e.event))
+            .map(|e| e.at)
+            .expect("the transmitter logged it")
+    };
+    let sof = at(|e| matches!(e, CanEvent::TxStarted { attempt: 2, .. }));
+    let last = at(|e| matches!(e, CanEvent::TxSucceeded { .. }));
+
+    // Fully fired before the retransmission: its SOF..EOF is leapt, and
+    // the drained bus after it too.
+    let (events, stepped) = steps_after(&schedule, sof);
+    assert_eq!(events, traced.events(), "the leap is bit-identical");
+    assert_eq!(stepped, 0, "the retransmission stepped {stepped} bits");
+
+    // An entry still pending (one that never fires) withholds the clean
+    // promise: every bit of the retransmission is stepped.
+    let never = Disturbance {
+        occurrence: 9,
+        ..Disturbance::eof(2, 7)
+    };
+    let (events, stepped) = steps_after(&[schedule, vec![never]].concat(), sof);
+    assert_eq!(events, traced.events(), "the pending entry never fired");
+    assert!(
+        stepped > last - sof,
+        "the retransmission stepped only {stepped} of its {} bits",
+        last + 1 - sof
     );
 }
 
@@ -621,11 +688,24 @@ fn bus_off_attack_steps_only_until_recovery() {
 /// The soak's chunk between event-log drains; no leap may cross it.
 const CHUNK: u64 = 2_048;
 
+/// `Simulator::run` without the frame leap: quiet stretches are leapt
+/// (pinned against plain stepping above), every other bit is stepped.
+fn run_stepping_frames<N: BitNode, C: ChannelModel<N::Tag>>(sim: &mut Simulator<N, C>, bits: u64) {
+    let end = sim.now() + bits;
+    while sim.now() < end {
+        let horizon = sim.quiet_horizon();
+        if horizon > sim.now() {
+            sim.run(horizon.min(end) - sim.now());
+        } else {
+            sim.step();
+        }
+    }
+}
+
 /// The reference driver: queue the releases due, then run to the next
-/// release. `Simulator::run` steps every frame bit and leaps only the
-/// quiet stretches between frames (pinned against plain stepping above),
-/// so the reference leaves every controller field, `bit_now` included,
-/// where a frame-by-frame stepped run does.
+/// release, stepping every frame bit and leaping only the quiet
+/// stretches between frames, so the reference leaves every controller
+/// field, `bit_now` included, where a frame-by-frame stepped run does.
 fn drive_stepped<N, C, S>(sim: &mut Simulator<N, C>, source: &mut S, horizon: u64) -> usize
 where
     N: BitNode + FrameSink,
@@ -643,7 +723,7 @@ where
             queued += 1;
         }
         let next_release = source.next_at().unwrap_or(u64::MAX).min(end);
-        sim.run(next_release - now);
+        run_stepping_frames(sim, next_release - now);
     }
     queued
 }

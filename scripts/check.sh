@@ -194,6 +194,29 @@ if ! cmp -s "$tmp/b1.sorted" "$tmp/b2.sorted"; then
 fi
 echo "    lane and scalar evaluation produce identical artifacts ($(wc -l <"$tmp/b1.jsonl") jobs)"
 
+echo "==> MajorCAN_3/4/5 campaign (20,000 schedules/target, lanes and scalar) against results/falsify_major_fa15.txt"
+# The campaign the falsify_major benchmark times, in release: its report
+# (every outcome counter, the shrink counts and the three E16 MajorCAN_5
+# omission minima) must come back byte-identical through the lane engine
+# and through --scalar, and both runs must exit 3 on those minima.
+for mode in lanes scalar; do
+    flags=(20000 --seed 0xFA15 --targets MajorCAN_3,MajorCAN_4,MajorCAN_5 --jobs 2 --quiet)
+    [[ "$mode" == scalar ]] && flags+=(--scalar)
+    status=0
+    cargo run -q --release -p majorcan-falsify --bin falsify -- "${flags[@]}" \
+        >"$tmp/fm_$mode.txt" 2>/dev/null || status=$?
+    if [[ "$status" -ne 3 ]]; then
+        echo "FAIL: the $mode MajorCAN_3/4/5 campaign exited $status, not 3" >&2
+        exit 1
+    fi
+    if ! cmp -s results/falsify_major_fa15.txt "$tmp/fm_$mode.txt"; then
+        echo "FAIL: the $mode MajorCAN_3/4/5 campaign differs from results/falsify_major_fa15.txt" >&2
+        diff results/falsify_major_fa15.txt "$tmp/fm_$mode.txt" >&2 || true
+        exit 1
+    fi
+done
+echo "    lanes and scalar both exit 3 with the committed report"
+
 echo "==> sharded fleet smoke run (falsify, 1 process vs 3 shard workers, then tamper)"
 # The crash-tolerant fleet path end to end: three sequential shard
 # workers over one coordination directory must merge to a JSONL artifact
