@@ -3,7 +3,7 @@
 use crate::{AbTrace, MsgId, Report, TraceAccumulator};
 use majorcan_can::{CanEvent, Frame};
 use majorcan_sim::TimedEvent;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 /// The message identity of a CAN frame: its 11-bit identifier plus payload.
 ///
@@ -28,28 +28,13 @@ pub fn msg_id_of(frame: &Frame) -> MsgId {
 /// from their own delivery events.
 pub fn trace_from_can_events(events: &[TimedEvent<CanEvent>], n_nodes: usize) -> AbTrace {
     let mut trace = AbTrace::new(n_nodes);
-    // Each distinct message gets a dense index on first sight; per node,
-    // a flag per index marks the messages it already broadcast.
-    let mut index: HashMap<MsgId, usize> = HashMap::new();
-    let mut started: Vec<Vec<bool>> = vec![Vec::new(); n_nodes];
+    let mut broadcast_seen: BTreeSet<(usize, MsgId)> = BTreeSet::new();
     for e in events {
         let node = e.node.index();
         match &e.event {
             CanEvent::TxStarted { frame, .. } => {
                 let msg = msg_id_of(frame);
-                let fresh = index.len();
-                let m = index.get(&msg).copied().unwrap_or_else(|| {
-                    index.insert(msg.clone(), fresh);
-                    fresh
-                });
-                if started.len() <= node {
-                    started.resize(node + 1, Vec::new());
-                }
-                let flags = &mut started[node];
-                if flags.len() <= m {
-                    flags.resize(m + 1, false);
-                }
-                if !std::mem::replace(&mut flags[m], true) {
+                if broadcast_seen.insert((node, msg.clone())) {
                     trace.broadcast(e.at, node, msg);
                 }
             }

@@ -182,11 +182,6 @@ impl fmt::Display for Report {
     }
 }
 
-/// Distinct messages a [`TraceAccumulator`] finds by scanning its table;
-/// past this many, a hash index keeps each lookup O(1). A link-layer run
-/// carries one message.
-const SCAN_LIMIT: usize = 8;
-
 /// Post-hoc accumulator behind [`check_trace`]: consumes [`AbEvent`]s one
 /// at a time and produces the detailed [`Report`] at the end.
 ///
@@ -212,8 +207,7 @@ pub struct TraceAccumulator {
     /// The distinct messages, in first-seen order: a message's position
     /// here is its dense index.
     msgs: Vec<MsgId>,
-    /// Message → its dense index, built once the table outgrows
-    /// [`SCAN_LIMIT`]; smaller tables are scanned.
+    /// Message → its dense index.
     index: HashMap<MsgId, usize>,
     /// Per message: the node of its first broadcast, if it had one.
     origin: Vec<Option<usize>>,
@@ -274,23 +268,14 @@ impl TraceAccumulator {
 
     /// The dense index of `msg`, assigned on first sight.
     fn intern(&mut self, msg: &MsgId) -> usize {
-        let found = if self.index.is_empty() {
-            self.msgs.iter().position(|known| known == msg)
-        } else {
-            self.index.get(msg).copied()
-        };
-        if let Some(m) = found {
+        if let Some(&m) = self.index.get(msg) {
             return m;
         }
         let m = self.msgs.len();
         self.msgs.push(msg.clone());
         self.origin.push(None);
         self.counts.resize(self.counts.len() + self.n_nodes, 0);
-        if m == SCAN_LIMIT {
-            self.index = self.msgs.iter().cloned().zip(0..).collect();
-        } else if m > SCAN_LIMIT {
-            self.index.insert(msg.clone(), m);
-        }
+        self.index.insert(msg.clone(), m);
         m
     }
 
