@@ -260,7 +260,7 @@ impl JobRunner {
         testbed.set_shutoff_at_warning(true);
         testbed.reset();
         // Drain past the horizon so frames released near its end still land.
-        testbed.drive_workload(&mut workload, horizon);
+        testbed.drive_source(&mut workload, horizon);
         let bits = horizon + testbed.run_until_quiescent(SETTLE_BITS, horizon);
         let delivered = testbed
             .can_events()

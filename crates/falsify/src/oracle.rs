@@ -48,19 +48,20 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Which evaluation engine [`Oracle::evaluate_batch`] routes a job's
 /// schedules through. The two are gated on outcome equality (the
-/// lane-equivalence property suite plus the JSONL diff gate in
+/// lane-equivalence property suite plus the JSONL diff gates in
 /// `scripts/check.sh`): the same campaign must produce byte-identical
 /// artifacts whichever engine runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// 64-lane cohort execution
+    /// One shared fault-free trunk per batch
     /// ([`run_lanes`](majorcan_testbed::Testbed::run_lanes)) — the
-    /// default: random campaign schedules are prefix-free, and the lane
-    /// engine shares their fault-free trunk regardless.
+    /// default: random campaign schedules are prefix-free, and every
+    /// one of them still shares the fault-free run up to its first
+    /// possible disturbance.
     #[default]
     Lanes,
     /// Schedule-by-schedule scalar hot loop — the `--scalar` escape
-    /// hatch and the reference the lane engine is checked against.
+    /// hatch and the reference the trunk engine is checked against.
     Scalar,
 }
 
@@ -180,13 +181,13 @@ impl Oracle {
     }
 
     /// Evaluates a whole batch of schedules against one target through
-    /// the oracle's configured [`Engine`] — the 64-lane cohort engine
+    /// the oracle's configured [`Engine`] — the shared-trunk engine
     /// ([`run_lanes`](majorcan_testbed::Testbed::run_lanes)) by default —
     /// returning one outcome per schedule in input order, each identical
     /// to what [`Oracle::evaluate`] would have returned.
     ///
     /// Panic containment matches the scalar path per schedule: if the
-    /// packed run unwinds anywhere, the cached cluster is dropped and
+    /// batch run unwinds anywhere, the cached cluster is dropped and
     /// every schedule is re-evaluated one by one, so exactly the
     /// schedules that panic classify as [`Outcome::CheckerPanic`] and the
     /// rest keep their real outcomes. A truncated run

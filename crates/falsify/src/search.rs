@@ -52,9 +52,9 @@ pub struct SearchConfig {
     /// queue admits four times this many raw findings per class.
     pub keep_per_class: usize,
     /// Which engine [`Oracle::evaluate_batch`] routes each job's
-    /// schedules through — lane cohorts by default, with `--scalar` as
-    /// the determinism gate (results must be identical whichever engine
-    /// runs).
+    /// schedules through — one shared fault-free trunk per job by
+    /// default, with `--scalar` as the determinism gate (results must be
+    /// identical whichever engine runs).
     pub engine: Engine,
 }
 
@@ -182,8 +182,8 @@ pub fn build_jobs(cfg: &SearchConfig) -> Vec<Job> {
 }
 
 /// Executes one adversarial-search job: synthesize all `job.frames`
-/// schedules up front, evaluate them through the oracle's packed engine
-/// ([`Oracle::evaluate_batch`] — 64-lane cohorts by default), then count
+/// schedules up front, evaluate them through the oracle's batch engine
+/// ([`Oracle::evaluate_batch`] — one shared trunk by default), then count
 /// outcomes and report findings into the side channel. Counters and
 /// `(job id, trial)` finding coordinates are identical to evaluating
 /// trial by trial — every engine is gated on outcome equality with the

@@ -103,8 +103,9 @@ pub struct ScriptedFaults {
 }
 
 /// Manual impl so `clone_from` reuses the destination's backing storage —
-/// the lane engine restores a snapshotted script into a reused channel
-/// slot once per peeled lane, which must not reallocate per lane.
+/// the testbed's batch peel restores a snapshotted script into a reused
+/// channel slot once per peeled schedule, which must not reallocate each
+/// time.
 impl Clone for ScriptedFaults {
     fn clone(&self) -> Self {
         ScriptedFaults {

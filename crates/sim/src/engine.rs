@@ -191,7 +191,7 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     /// channel, bit clock and event log — so a later
     /// [`Simulator::restore_from`] resumes bit-identically from this
     /// instant. The bit-level trace is deliberately *not* captured: the
-    /// lane peel that snapshots on the hot path runs trace-off, and a
+    /// batch peel that snapshots on the hot path runs trace-off, and a
     /// trace spanning a restore would be misleading anyway.
     pub fn snapshot(&self) -> SimSnapshot<N, C>
     where
@@ -208,8 +208,8 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
     }
 
     /// Rewinds the engine to the instant captured by `snap`, reusing the
-    /// existing allocations (`clone_from`) so replaying N peeled lanes from
-    /// one snapshot does not reallocate N times. Any recorded trace is cleared:
+    /// existing allocations (`clone_from`) so replaying N peeled schedules
+    /// from one snapshot does not reallocate N times. Any recorded trace is cleared:
     /// it belonged to the abandoned timeline.
     pub fn restore_from(&mut self, snap: &SimSnapshot<N, C>)
     where
@@ -384,8 +384,8 @@ impl<N: BitNode, C: ChannelModel<N::Tag>> Simulator<N, C> {
 ///
 /// Restoring with [`Simulator::restore_from`] and continuing is
 /// bit-identical to having cloned the whole engine at the capture point —
-/// the foundation of the lane peel (see [`LaneSim`](crate::LaneSim)), where
-/// each lane leaving a cohort resumes from the shared trunk's state.
+/// the foundation of the testbed's batch peel, where each schedule leaving
+/// the shared fault-free trunk resumes from the trunk's state.
 #[derive(Debug, Clone)]
 pub struct SimSnapshot<N: BitNode, C: ChannelModel<N::Tag>> {
     nodes: Vec<N>,

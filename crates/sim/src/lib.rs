@@ -60,14 +60,12 @@
 
 mod channel;
 mod engine;
-mod lanes;
 mod level;
 mod node;
 mod trace;
 
 pub use channel::{ChannelModel, FnChannel, NoFaults};
 pub use engine::{SimSnapshot, Simulator};
-pub use lanes::{CohortEnd, LaneSim, WatchTable, MAX_LANES};
 pub use level::Level;
 pub use node::{BitNode, NodeId, TimedEvent};
 pub use trace::{BitRecord, BitTrace, NodeBit};

@@ -41,9 +41,9 @@ pub enum BusChannel {
 }
 
 /// Manual impl so same-variant `clone_from` reuses the destination's
-/// backing storage: the lane engine restores the snapshotted script into
-/// a live channel once per peeled lane, and a derived `clone_from` would
-/// reallocate the script's backing `Vec` every time.
+/// backing storage: the batch peel restores the snapshotted script into
+/// a live channel once per peeled schedule, and a derived `clone_from`
+/// would reallocate the script's backing `Vec` every time.
 impl Clone for BusChannel {
     fn clone(&self) -> Self {
         match self {

@@ -24,12 +24,11 @@
 //! [`Testbed::load_script`] rewinds controllers, event buffers, trace
 //! storage and the script allocation in place, so the hot loop is
 //! allocation-free after warm-up. Campaign callers go one step further:
-//! [`Testbed::run_lanes`] packs up to 64 schedules into one cohort that
-//! runs their shared fault-free trunk once, snapshots the cluster at the
-//! first bit each schedule's script could fire and finishes that
-//! schedule from there on the scalar path. Packed results are checked
-//! against [`Testbed::run_schedule`], the reference path. The
-//! repository benchmark (`perfbench/`) times both.
+//! [`Testbed::run_lanes`] runs a batch's shared fault-free trunk once,
+//! snapshots the cluster at the first bit each schedule's script could
+//! fire and finishes that schedule from there on the scalar path. Its
+//! results are checked against [`Testbed::run_schedule`], the reference
+//! path. The repository benchmark (`perfbench/`) times both.
 
 mod channel;
 mod lanes;

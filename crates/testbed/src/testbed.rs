@@ -10,7 +10,7 @@ use majorcan_core::{MajorCan, MinorCan};
 use majorcan_faults::{scenario_frame, AttackAction, Attacker, CrashRule, Disturbance, Scenario};
 use majorcan_hlp::{trace_from_hlp_events, BroadcastId, EdCan, HlpEvent, HlpNode, RelCan, TotCan};
 use majorcan_sim::{NodeId, SimSnapshot, Simulator, TimedEvent};
-use majorcan_workload::{ReleaseSource, Workload};
+use majorcan_workload::ReleaseSource;
 
 /// Bit budget for one link-layer schedule evaluation (matches the
 /// scripted-trial budget of the bench interpreter).
@@ -123,7 +123,7 @@ enum ClusterSnapshot {
 /// *same-shaped* testbed to this instant, after which continuing the run
 /// is bit-identical to never having left it. The simulator-level capture
 /// underneath ([`SimSnapshot`]) is what [`Testbed::run_lanes`] peels
-/// lanes with: each lane resumes from the shared fault-free trunk at the
+/// schedules with: each resumes from the shared fault-free trunk at the
 /// first bit its script could fire instead of replaying from bit zero.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -540,20 +540,11 @@ impl Testbed {
         })
     }
 
-    /// Steps the cluster for `horizon` bits, queueing every due workload
-    /// release on its node. Returns the number of frames queued.
-    /// Link-layer clusters only.
-    pub fn drive_workload(&mut self, workload: &mut Workload, horizon: u64) -> usize {
-        link_sim!(&mut self.cluster, self.protocol, "drive_workload", sim => {
-            majorcan_workload::drive(sim, workload, horizon)
-        })
-    }
-
     /// Steps the cluster for `horizon` bits, queueing every due release of
-    /// `source` on its node. The streaming counterpart of
-    /// [`drive_workload`](Self::drive_workload) — soak runs feed a lazy
-    /// generator here instead of materializing a schedule. Link-layer
-    /// clusters only.
+    /// `source` on its node — a planned
+    /// [`Workload`](majorcan_workload::Workload) or a lazy soak stream —
+    /// and leaping every frame it can prove clean. Returns the number of
+    /// frames queued. Link-layer clusters only.
     pub fn drive_source<S: ReleaseSource + ?Sized>(
         &mut self,
         source: &mut S,
@@ -637,16 +628,17 @@ impl Testbed {
     /// prefix, and "no violation on a prefix" is not "no violation".
     pub fn run_schedule(&mut self, schedule: &[Disturbance]) -> Outcome {
         self.set_record_trace(false);
-        self.load_script(schedule);
-        if self.protocol.is_hlp() {
-            self.broadcast(0, HLP_PROBE_PAYLOAD);
-            self.run(self.budget);
-            self.outcome()
-        } else {
-            self.enqueue(0, scenario_frame());
-            self.run(self.budget);
-            let truncated = !self.is_drained();
-            self.outcome().truncate_if(truncated)
+        let (n_nodes, budget) = (self.n_nodes, self.budget);
+        match &mut self.cluster {
+            Cluster::Can(sim) => crate::lanes::run_one(sim, n_nodes, budget, schedule),
+            Cluster::Minor(sim) => crate::lanes::run_one(sim, n_nodes, budget, schedule),
+            Cluster::Major(sim) => crate::lanes::run_one(sim, n_nodes, budget, schedule),
+            _ => {
+                self.load_script(schedule);
+                self.broadcast(0, HLP_PROBE_PAYLOAD);
+                self.run(self.budget);
+                self.outcome()
+            }
         }
     }
 
@@ -657,18 +649,17 @@ impl Testbed {
         self.run_lanes(schedules)
     }
 
-    /// Evaluates a whole batch of scripted schedules through the 64-lane
-    /// engine (`crate::lanes`), returning one [`Outcome`] per schedule in
-    /// input order — each identical to what [`Testbed::run_schedule`]
-    /// would return for it on this testbed.
+    /// Evaluates a whole batch of scripted schedules, returning one
+    /// [`Outcome`] per schedule in input order — each identical to what
+    /// [`Testbed::run_schedule`] would return for it on this testbed.
     ///
-    /// The lane engine packs up to 64 arbitrary (prefix-free) schedules
-    /// into one cohort run: while no lane's script has fired, every lane
-    /// is bit-identical to the fault-free run, so one simulator carries
-    /// all of them behind a `u64` activity mask.
-    /// A lane is peeled off to the scalar path at the first bit where its
-    /// script could fire. Higher-level-protocol clusters fall back to
-    /// per-schedule [`Testbed::run_schedule`] calls.
+    /// On a link cluster the batch shares one fault-free trunk: while a
+    /// schedule's script cannot have fired, its run is bit-identical to
+    /// the fault-free run, so the trunk is stepped once for all of them
+    /// and each schedule is peeled off to the scalar path (from a
+    /// snapshot) at the first bit where its script could fire.
+    /// Higher-level-protocol clusters fall back to per-schedule
+    /// [`Testbed::run_schedule`] calls.
     pub fn run_lanes(&mut self, schedules: &[&[Disturbance]]) -> Vec<Outcome> {
         match &mut self.cluster {
             Cluster::Can(sim) => {

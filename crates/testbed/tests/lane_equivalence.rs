@@ -1,16 +1,17 @@
-//! The lane engine's correctness gate: 64-lane cohort execution
-//! ([`Testbed::run_lanes`]) must classify every schedule exactly like the
-//! scalar hot loop ([`Testbed::run_schedule`]) on the same reused
-//! testbed, across every protocol variant — both on the prefix-free
-//! workload the lane engine exists for and on prefix families shaped like
-//! the falsifier's tail-biased schedules.
+//! The batch engine's correctness gate: one shared fault-free trunk per
+//! batch ([`Testbed::run_lanes`]) must classify every schedule exactly
+//! like the scalar hot loop ([`Testbed::run_schedule`]) on the same
+//! reused testbed, across every protocol variant — both on the
+//! prefix-free workload the trunk exists for and on prefix families
+//! shaped like the falsifier's tail-biased schedules.
 //!
 //! The schedule generator deliberately covers the awkward cases: empty
 //! schedules, duplicate schedules, occurrence-2 and stuff-bit entries,
-//! and fields on the no-fork blacklist (`Idle`, `Sof`, `BusOff`,
-//! `Crashed`), which must peel to the scalar path before the cohort even
-//! starts. Dedicated tests cover multi-block packing (> 64 schedules)
-//! and a testbed left with an armed attacker channel.
+//! the no-fork fields (`Sof`, `Crashed`), which must take the scalar
+//! path before the trunk even starts, and the integration, idle and
+//! bus-off fields, which ride the trunk. Dedicated tests cover a batch
+//! larger than any production batch and a testbed left with an armed
+//! attacker channel.
 
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::Field;
@@ -35,10 +36,12 @@ const LINK_PROTOCOLS: [ProtocolSpec; 3] = [
     ProtocolSpec::MajorCan { m: 5 },
 ];
 
-/// Every field class the falsifier's generator reaches, plus the no-fork
-/// blacklist members (`Idle`, `Sof`, `BusOff`, `Crashed`) whose lanes
-/// must peel to the scalar path at bit zero.
-const FIELDS: [Field; 14] = [
+/// Every field class the falsifier's generator reaches, the no-fork
+/// fields (`Sof`, `Crashed`) whose schedules take the scalar path whole,
+/// and the fields only a node outside a frame shows (`Integrating`,
+/// `Idle`, `BusOff`), which ride the trunk.
+const FIELDS: [Field; 15] = [
+    Field::Integrating,
     Field::Idle,
     Field::Sof,
     Field::Id,
@@ -96,7 +99,7 @@ fn familyize(mut schedules: Vec<Vec<Disturbance>>) -> Vec<Vec<Disturbance>> {
     schedules
 }
 
-/// Lane-eligible fields the fixed pool draws from: frame-interior and
+/// Trunk-eligible fields the fixed pool draws from: frame-interior and
 /// frame-tail positions, the falsifier's bread and butter.
 const POOL_FIELDS: [Field; 8] = [
     Field::Id,
@@ -114,23 +117,20 @@ const POOL_FIELDS: [Field; 8] = [
 /// leading disturbance by construction bias (collisions are possible but
 /// rare; the point is there are no *families*). A sprinkle of empty
 /// schedules, occurrence-2 entries, stuff-bit targets and scalar-only
-/// (`Idle`-targeting) schedules keeps the peel bookkeeping and the
+/// (`Sof`-targeting) schedules keeps the peel bookkeeping and the
 /// scalar fallback honest.
 fn prefix_free_pool(seed: u64, count: usize) -> Vec<Vec<Disturbance>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pool = Vec::with_capacity(count);
     for _ in 0..count {
         if rng.gen_range(0..24) == 0 {
-            pool.push(Vec::new()); // fault-free lanes ride the trunk whole
+            pool.push(Vec::new()); // fault-free schedules ride the trunk whole
             continue;
         }
         if rng.gen_range(0..16) == 0 {
-            // A scalar-only lane: Idle is a drive-phase-transition field.
-            pool.push(vec![Disturbance::first(
-                rng.gen_range(0..3),
-                Field::Idle,
-                0,
-            )]);
+            // A scalar-only schedule: drive enters Sof, so a pre-step
+            // look would miss it.
+            pool.push(vec![Disturbance::first(rng.gen_range(0..3), Field::Sof, 0)]);
             continue;
         }
         let n = rng.gen_range(1..=3);
@@ -160,7 +160,7 @@ fn prefix_free_pool(seed: u64, count: usize) -> Vec<Vec<Disturbance>> {
     pool
 }
 
-/// The fixed pool is the workload the lane engine exists for only if it
+/// The fixed pool is the workload the trunk exists for only if it
 /// has no prefix families: consecutive schedules almost never share a
 /// first disturbance.
 #[test]
@@ -182,7 +182,7 @@ fn pool_is_deterministic_and_prefix_free() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The engine's gate: laned outcomes equal scalar outcomes, schedule
+    // The engine's gate: batch outcomes equal scalar outcomes, schedule
     // by schedule, on every protocol variant (HLP targets exercise the
     // per-schedule fallback dispatch), for the independent draws and for
     // the same draws nudged into prefix families.
@@ -206,9 +206,9 @@ proptest! {
     }
 }
 
-/// More schedules than one cohort can hold: the chunker must split into
-/// full 64-lane blocks plus a partial final block, with outcomes still
-/// in input order and scalar-identical. HLP clusters take the
+/// One batch larger than any production batch (a falsifier job runs at
+/// most 50 schedules): 145 schedules share one trunk, with outcomes
+/// still in input order and scalar-identical. HLP clusters take the
 /// per-schedule fallback on the same pool.
 #[test]
 fn multi_block_packing_matches_scalar() {
@@ -223,14 +223,16 @@ fn multi_block_packing_matches_scalar() {
 }
 
 /// Schedules that drive a node to bus-off (or target the bus-off /
-/// crashed fields directly) must classify identically: the field
-/// targets peel to scalar at bit zero, and a cohort survivor's verdict
-/// is untouched by another lane's bus-off replay.
+/// crashed fields directly) must classify identically: the crashed
+/// target takes the scalar path whole, the idle target peels once a node
+/// shows `Idle`, the bus-off target rides the trunk to the end, and a
+/// trunk survivor's verdict is untouched by another schedule's bus-off
+/// replay.
 #[test]
 fn bus_off_and_crash_lanes_peel_to_scalar() {
     // Hammering the ACK slot repeatedly walks the transmitter's error
     // counter; occurrence-stacked error-flag hits do the same for
-    // receivers. Mix those heavy lanes with clean and light ones.
+    // receivers. Mix those heavy schedules with clean and light ones.
     let mut heavy = Vec::new();
     for occ in 1..=8u32 {
         let mut d = Disturbance::first(0, Field::AckSlot, 0);
@@ -255,7 +257,7 @@ fn bus_off_and_crash_lanes_peel_to_scalar() {
 }
 
 /// A testbed left with an armed attacker channel must be rejected
-/// cleanly by the lane path: `run_lanes` installs its own scripted
+/// cleanly by the batch path: `run_lanes` installs its own scripted
 /// channel (exactly like `run_schedule`), never panics on the foreign
 /// channel, and still matches scalar outcomes.
 #[test]

@@ -1,9 +1,9 @@
 //! Snapshot/restore round trips: a [`Testbed::snapshot`] → mutate →
 //! [`Testbed::restore`] cycle must resume bit-identically to a fresh
 //! replay — across every protocol variant and with the attacker channel
-//! attached. The lane engine peels lanes off its fault-free trunk with
-//! the simulator-level capture underneath, so these round trips are the
-//! ground the peel stands on.
+//! attached. `Testbed::run_lanes` peels schedules off its fault-free
+//! trunk with the simulator-level capture underneath, so these round
+//! trips are the ground the peel stands on.
 
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::Field;

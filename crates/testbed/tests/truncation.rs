@@ -1,13 +1,13 @@
 //! Regression tests for the quiescence-vs-budget-exhaustion distinction.
 //!
 //! A budget-exhausted run and a genuinely quiescent run used to fall out
-//! of a packed engine identically, so a budget landing after the frame's
+//! of a batch engine identically, so a budget landing after the frame's
 //! delivery but before the bus drained (e.g. mid-intermission) classified
 //! as a confident `Consistent` — and a shortcut classifying every
 //! untripped schedule from one shared run stamped that verdict onto all
 //! of them. These tests pin the fix: a run whose budget elapses while the
-//! bus is still active is [`Outcome::Truncated`], on the scalar and lane
-//! paths alike.
+//! bus is still active is [`Outcome::Truncated`], on the scalar and
+//! batch paths alike.
 
 use majorcan_can::Field;
 use majorcan_faults::Disturbance;
@@ -67,15 +67,16 @@ fn scalar_budget_landing_mid_wind_down_truncates() {
     }
 }
 
-/// A budget cut must reach every lane of a cohort, whichever way the
-/// lane finishes. No entry below ever fires on the fault-free run, and
-/// the group mixes both exits: lanes carrying the shared CRC entry (its
-/// third occurrence) peel where the transmitter enters its CRC field and
-/// replay on the scalar path, while the error-flag-only lanes never trip
-/// and are classified straight from the fault-free trunk — the shortcut
-/// that once stamped the trunk's clean verdict on every member even when
-/// the budget cut it. With the budget inside the wind-down window every
-/// member must come back `Truncated`, exactly like the scalar path.
+/// A budget cut must reach every schedule of a batch, whichever way the
+/// schedule finishes. No entry below ever fires on the fault-free run,
+/// and the group mixes both exits: schedules carrying the shared CRC
+/// entry (its third occurrence) peel where the transmitter enters its
+/// CRC field and replay on the scalar path, while the error-flag-only
+/// schedules never peel and are classified straight from the fault-free
+/// trunk — the shortcut that once stamped the trunk's clean verdict on
+/// every member even when the budget cut it. With the budget inside the
+/// wind-down window every member must come back `Truncated`, exactly
+/// like the scalar path.
 #[test]
 fn lanes_report_truncation_for_every_member_of_a_budget_cut_group() {
     for protocol in LINK_PROTOCOLS {

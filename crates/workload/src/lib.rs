@@ -10,9 +10,10 @@
 //!   bit time;
 //! * [`plan_periodic_load`] — source periods hitting a target bus load,
 //!   matching the paper's reference configuration;
-//! * [`drive`] / [`drive_source`] — drivers stepping any simulator of
+//! * [`drive_source`] — the driver stepping any simulator of
 //!   [`FrameSink`] nodes while feeding released frames to their queues
-//!   ([`ReleaseSource`] lets soak generators stream releases lazily);
+//!   (a [`Workload`] or any other [`ReleaseSource`], which lets soak
+//!   generators stream releases lazily);
 //! * [`BusStats`] — throughput/occupation statistics from event logs.
 
 #![forbid(unsafe_code)]
@@ -191,15 +192,6 @@ impl Workload {
     pub fn releases(&self) -> &[Release] {
         &self.releases
     }
-
-    /// Pops every release due at or before `now`.
-    pub fn due(&mut self, now: u64) -> &[Release] {
-        let start = self.cursor;
-        while self.cursor < self.releases.len() && self.releases[self.cursor].at <= now {
-            self.cursor += 1;
-        }
-        &self.releases[start..self.cursor]
-    }
 }
 
 impl ReleaseSource for Workload {
@@ -245,16 +237,6 @@ pub fn plan_periodic_load(n_nodes: usize, load: f64, frame_bits: usize) -> Vec<P
             extra_len: 4,
         })
         .collect()
-}
-
-/// Steps `sim` for `horizon` bits, queueing every due release on its node.
-/// Returns the number of frames queued.
-pub fn drive<N, C>(sim: &mut Simulator<N, C>, workload: &mut Workload, horizon: u64) -> usize
-where
-    N: BitNode + FrameSink,
-    C: ChannelModel<N::Tag>,
-{
-    drive_source(sim, workload, horizon)
 }
 
 /// Steps `sim` for `horizon` bits, queueing every due release of any
@@ -359,23 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn workload_due_pops_in_order_once() {
-        let src = PeriodicSource {
-            node: 0,
-            id: FrameId::new(0x10).unwrap(),
-            period: 10,
-            phase: 0,
-            extra_len: 0,
-        };
-        let mut w: Workload = src.releases(35).into_iter().collect();
-        assert_eq!(w.len(), 4);
-        assert_eq!(w.due(0).len(), 1);
-        assert_eq!(w.due(0).len(), 0, "not popped twice");
-        assert_eq!(w.due(25).len(), 2);
-        assert_eq!(w.due(100).len(), 1);
-    }
-
-    #[test]
     fn workload_is_a_release_source() {
         let src = PeriodicSource {
             node: 0,
@@ -389,8 +354,7 @@ mod tests {
         let first = w.pop().expect("three releases");
         assert_eq!(first.at, 3);
         assert_eq!(w.next_at(), Some(13));
-        // `due` and `pop` share the cursor: no release is seen twice.
-        assert_eq!(w.due(13).len(), 1);
+        assert_eq!(w.pop().map(|r| r.at), Some(13));
         assert_eq!(w.next_at(), Some(23));
         assert_eq!(w.pop().map(|r| r.at), Some(23));
         assert_eq!(w.next_at(), None);
@@ -420,7 +384,7 @@ mod tests {
             releases.extend(s.releases(4000));
         }
         let mut w = Workload::new(releases);
-        let queued = drive(&mut sim, &mut w, 6000);
+        let queued = drive_source(&mut sim, &mut w, 6000);
         assert!(queued >= 3, "queued={queued}");
         let delivered = sim
             .events()

@@ -82,7 +82,7 @@ impl fmt::Display for BusStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{drive, plan_periodic_load, Workload};
+    use crate::{drive_source, plan_periodic_load, Workload};
     use majorcan_can::{Controller, StandardCan};
     use majorcan_sim::{NoFaults, Simulator};
 
@@ -98,7 +98,7 @@ mod tests {
             releases.extend(s.releases(5_000));
         }
         let mut w = Workload::new(releases);
-        let queued = drive(&mut sim, &mut w, 8_000);
+        let queued = drive_source(&mut sim, &mut w, 8_000);
         let stats = BusStats::from_events(sim.events());
         assert_eq!(stats.successes, queued);
         assert_eq!(stats.attempts, queued, "no retransmissions fault-free");

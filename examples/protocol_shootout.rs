@@ -28,7 +28,7 @@ fn shootout_link(protocol: ProtocolSpec) -> (usize, f64) {
         releases.extend(s.releases(HORIZON - 2_000));
     }
     let mut workload = Workload::new(releases);
-    let sent = tb.drive_workload(&mut workload, HORIZON);
+    let sent = tb.drive_source(&mut workload, HORIZON);
     let stats = BusStats::from_events(tb.can_events());
     assert_eq!(
         sent, stats.successes,

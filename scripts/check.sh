@@ -160,6 +160,30 @@ cargo run -q --release -p majorcan-traffic --bin traffic -- \
     --allow-violations >/dev/null 2>&1
 echo "    online checker gates bursty cells; --allow-violations downgrades"
 
+echo "==> committed results/ regenerated (table1, figures, overhead, montecarlo, sweep, atlas)"
+# Every committed report of the deterministic and campaign bins must be
+# what the bins print today, byte for byte (the campaign bins print the
+# same report for any --jobs). About 3 s in release.
+cargo build -q --release -p majorcan-bench
+results_step() {
+    local file="$1"
+    shift
+    "target/release/$@" >"$tmp/$file"
+    if ! cmp -s "results/$file" "$tmp/$file"; then
+        echo "FAIL: regenerated $file differs from results/$file" >&2
+        diff "results/$file" "$tmp/$file" >&2 || true
+        exit 1
+    fi
+}
+results_step table1.txt table1
+results_step table1.json table1 --json
+results_step figures.txt figures all
+results_step overhead.txt overhead
+results_step montecarlo.txt montecarlo --jobs 2 --quiet
+results_step sweep.txt sweep --jobs 2 --quiet
+results_step atlas.txt atlas --jobs 2 --quiet
+echo "    seven results/ reports byte-identical"
+
 echo "==> E17 clean grid (10^6 frames per cell, 2 workers) against results/e17_clean.jsonl"
 # The committed clean soak grid must come back byte-identical (sorted:
 # the sink streams in completion order). The clean-frame leap carries

@@ -9,7 +9,7 @@ use majorcan::abcast::trace_from_can_events;
 use majorcan::can::{CanEvent, Controller, StandardCan, Variant};
 use majorcan::protocols::MajorCan;
 use majorcan::sim::{NoFaults, Simulator};
-use majorcan::workload::{drive, plan_periodic_load, Workload};
+use majorcan::workload::{drive_source, plan_periodic_load, Workload};
 
 const N_NODES: usize = if cfg!(debug_assertions) { 8 } else { 32 };
 const HORIZON: u64 = if cfg!(debug_assertions) {
@@ -30,7 +30,7 @@ fn run_reference<V: Variant>(variant: &V) -> (usize, usize, majorcan::abcast::Re
         releases.extend(s.releases(HORIZON.saturating_sub(5_000)));
     }
     let mut workload = Workload::new(releases);
-    let queued = drive(&mut sim, &mut workload, HORIZON);
+    let queued = drive_source(&mut sim, &mut workload, HORIZON);
     let delivered = sim
         .events()
         .iter()
