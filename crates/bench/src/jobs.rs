@@ -1,5 +1,5 @@
 //! The canonical campaign-job interpreter: turns a declarative
-//! [`Job`](majorcan_campaign::Job) into a [`JobResult`] by running the
+//! [`Job`] into a [`JobResult`] by running the
 //! bit-level simulator through the [`Testbed`] facade.
 //!
 //! Every experiment binary (montecarlo, sweep, atlas) builds a job list and

@@ -27,6 +27,8 @@ use majorcan_sim::{BitNode, Level, TimedEvent};
 
 mod leap;
 
+pub use leap::leap_clean_frame;
+
 /// Static configuration of a controller.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
@@ -1182,7 +1184,7 @@ impl<V: Variant> BitNode for Controller<V> {
         limit: u64,
         events: &mut Vec<TimedEvent<CanEvent>>,
     ) -> Option<u64> {
-        leap::leap_clean_frame(nodes, now, limit, events)
+        leap_clean_frame::<V, Self>(nodes, now, limit, events)
     }
 
     fn observe(&mut self, now: u64, seen: Level, events: &mut Vec<CanEvent>) {

@@ -15,6 +15,7 @@ use super::{CState, Controller};
 use crate::wire::stuffed_geometry;
 use crate::{CanEvent, DecisionBasis, FaultState, FrameId, Role, Variant};
 use majorcan_sim::{NodeId, TimedEvent};
+use std::borrow::BorrowMut;
 
 /// CRC delimiter, ACK slot and ACK delimiter: the fixed bits between the
 /// stuffed region and the EOF.
@@ -63,10 +64,12 @@ fn first_difference(a: FrameId, b: FrameId) -> usize {
     ((a.raw() ^ b.raw()) << 5).leading_zeros() as usize
 }
 
-/// Advances `nodes` from bit `now` across the next frame and its
-/// intermission, as if each bit were stepped with every view undisturbed,
-/// provided that ends by `limit`. Returns the bit the leap ends at, with
-/// every node idle again, or `None` (nothing changed) unless:
+/// Advances the controllers of `nodes` (the controllers themselves, or
+/// nodes that each own one, such as the higher-level-protocol nodes)
+/// from bit `now` across the next frame and its intermission, as if each
+/// bit were stepped with every view undisturbed, provided that ends by
+/// `limit`. Returns the bit the leap ends at, with every controller idle
+/// again, or `None` (nothing changed) unless:
 ///
 /// - there are at least two nodes (a lone transmitter gets no ACK);
 /// - every node is leap-ready and runs the same EOF geometry;
@@ -78,8 +81,8 @@ fn first_difference(a: FrameId, b: FrameId) -> usize {
 /// identifier bit, `Delivered` at the receivers' commit bit and
 /// `TxSucceeded` at the last EOF bit, counters moving through the same
 /// fault-confinement calls.
-pub(super) fn leap_clean_frame<V: Variant>(
-    nodes: &mut [Controller<V>],
+pub fn leap_clean_frame<V: Variant, N: BorrowMut<Controller<V>>>(
+    nodes: &mut [N],
     now: u64,
     limit: u64,
     events: &mut Vec<TimedEvent<CanEvent>>,
@@ -87,14 +90,15 @@ pub(super) fn leap_clean_frame<V: Variant>(
     if nodes.len() < 2 {
         return None;
     }
-    let eof_len = nodes[0].variant.eof_len();
-    let rx_commit = nodes[0].variant.commit_point(Role::Receiver);
+    let eof_len = nodes[0].borrow().variant.eof_len();
+    let rx_commit = nodes[0].borrow().variant.commit_point(Role::Receiver);
     if !(1..=eof_len).contains(&rx_commit) {
         return None;
     }
     let mut best: Option<(usize, FrameId)> = None;
     let mut tie = false;
     for (i, node) in nodes.iter().enumerate() {
+        let node = node.borrow();
         if !node.leap_ready()
             || node.variant.eof_len() != eof_len
             || node.variant.commit_point(Role::Receiver) != rx_commit
@@ -118,7 +122,7 @@ pub(super) fn leap_clean_frame<V: Variant>(
     if tie {
         return None;
     }
-    let frame = nodes[winner].queue[0].frame.clone();
+    let frame = nodes[winner].borrow().queue[0].frame.clone();
     let (stuffed, id_at) = stuffed_geometry(&frame);
     let eof1 = now + stuffed as u64 + ACK_FIELD;
     let last = eof1 + eof_len as u64 - 1;
@@ -126,7 +130,7 @@ pub(super) fn leap_clean_frame<V: Variant>(
     if end > limit
         || nodes
             .iter()
-            .any(|n| n.config.fail_at.is_some_and(|t| t < end))
+            .any(|n| n.borrow().config.fail_at.is_some_and(|t| t < end))
     {
         return None;
     }
@@ -134,6 +138,7 @@ pub(super) fn leap_clean_frame<V: Variant>(
     // SOF: every queue head contends (dropping any in-flight mark an
     // attempt cut short by bus-off left behind, as a stepped start does).
     for (i, node) in nodes.iter_mut().enumerate() {
+        let node = node.borrow_mut();
         node.drop_in_flight();
         if let Some(head) = node.queue.first_mut() {
             head.attempts += 1;
@@ -153,7 +158,7 @@ pub(super) fn leap_clean_frame<V: Variant>(
     // identifier bit, and backs off there.
     for (bit, &at) in id_at.iter().enumerate() {
         for (i, node) in nodes.iter().enumerate() {
-            match node.queue.first() {
+            match node.borrow().queue.first() {
                 Some(head) if i != winner && first_difference(head.frame.id(), won) == bit => {
                     events.push(TimedEvent {
                         at: now + at as u64,
@@ -171,6 +176,7 @@ pub(super) fn leap_clean_frame<V: Variant>(
     // last bit; on a shared bit, in node order.
     let rx_at = eof1 + rx_commit as u64 - 1;
     for (i, node) in nodes.iter_mut().enumerate() {
+        let node = node.borrow_mut();
         if i != winner {
             node.leap_emit(i, rx_at, events, |n, ev| {
                 n.deliver(frame.clone(), DecisionBasis::CleanEof, ev)
@@ -182,13 +188,16 @@ pub(super) fn leap_clean_frame<V: Variant>(
         }
     }
     if rx_at < last {
-        nodes[winner].leap_emit(winner, last, events, |n, ev| {
-            n.commit_tx_success(DecisionBasis::CleanEof, ev)
-        });
+        nodes[winner]
+            .borrow_mut()
+            .leap_emit(winner, last, events, |n, ev| {
+                n.commit_tx_success(DecisionBasis::CleanEof, ev)
+            });
     }
     // Where stepping leaves every node: idle after the intermission, the
     // agreement clock still anchored at this frame's EOF bit 1.
     for (i, node) in nodes.iter_mut().enumerate() {
+        let node = node.borrow_mut();
         node.state = CState::Idle;
         node.tx = None;
         node.pipe = None;

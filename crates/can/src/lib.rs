@@ -62,7 +62,7 @@ mod pipeline;
 mod variant;
 mod wire;
 
-pub use controller::{Controller, ControllerConfig};
+pub use controller::{leap_clean_frame, Controller, ControllerConfig};
 pub use counters::{
     ConfinementEvent, FaultConfinement, FaultState, BUS_OFF_LIMIT, PASSIVE_LIMIT, WARNING_LIMIT,
 };

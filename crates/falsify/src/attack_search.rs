@@ -117,9 +117,12 @@ pub struct AttackSearchReport {
     pub entries: Vec<AttackCorpusEntry>,
     /// Findings dropped by the per-class caps (reported, never silent).
     pub dropped: usize,
-    /// Judgements spent shrinking ([`ShrunkAttack::evaluations`] summed).
+    /// Judgements spent shrinking
+    /// ([`ShrunkAttack::evaluations`](field@ShrunkAttack::evaluations)
+    /// summed).
     pub shrink_evaluations: usize,
-    /// Simulator runs among them ([`ShrunkAttack::runs`] summed) — the
+    /// Simulator runs among them
+    /// ([`ShrunkAttack::runs`](field@ShrunkAttack::runs) summed) — the
     /// same for any worker count.
     pub shrink_runs: usize,
 }
@@ -349,7 +352,8 @@ fn scalar_of(action: &AttackAction) -> Option<u64> {
 /// survivors in canonical order. Every run is judged through the
 /// caller's oracle ([`AttackOracle::judge`]), so the testbed cache and the
 /// verdict memo carry across shrinks of one target; the minimum and
-/// [`ShrunkAttack::evaluations`] do not depend on the memo.
+/// [`ShrunkAttack::evaluations`](field@ShrunkAttack::evaluations) do not
+/// depend on the memo.
 pub fn shrink_attack_with(
     oracle: &mut AttackOracle,
     target: ProtocolSpec,

@@ -29,7 +29,8 @@ impl Schedule {
     }
 
     /// An owned copy of the disturbance list (what
-    /// [`run_script`](majorcan_faults::run_script) consumes).
+    /// [`ScriptedFaults::new`](majorcan_faults::ScriptedFaults::new)
+    /// consumes).
     pub fn to_vec(&self) -> Vec<Disturbance> {
         self.disturbances.clone()
     }

@@ -132,10 +132,11 @@ pub struct SearchReport {
     pub entries: Vec<CorpusEntry>,
     /// Findings dropped by the per-class caps (reported, never silent).
     pub dropped: usize,
-    /// Judgements spent shrinking ([`Shrunk::evaluations`] summed).
+    /// Judgements spent shrinking
+    /// ([`Shrunk::evaluations`](field@Shrunk::evaluations) summed).
     pub shrink_evaluations: usize,
-    /// Simulator runs among them ([`Shrunk::runs`] summed) — the same
-    /// for any worker count.
+    /// Simulator runs among them ([`Shrunk::runs`](field@Shrunk::runs)
+    /// summed) — the same for any worker count.
     pub shrink_runs: usize,
 }
 

@@ -100,6 +100,10 @@ impl HlpLayer for EdCan {
         u64::MAX
     }
 
+    fn min_timer_delay(&self) -> u64 {
+        u64::MAX // no timers
+    }
+
     fn reset(&mut self) {
         self.delivered.clear();
         self.duplicated.clear();

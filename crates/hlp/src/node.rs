@@ -2,9 +2,12 @@
 //! higher-level protocol layer.
 
 use crate::{BroadcastId, HlpMessage};
-use majorcan_can::{CanEvent, Controller, ControllerConfig, Frame, StandardCan, WirePos};
-use majorcan_sim::{BitNode, Level};
-use std::fmt;
+use majorcan_can::{
+    leap_clean_frame, CanEvent, Controller, ControllerConfig, Frame, StandardCan, WirePos,
+};
+use majorcan_sim::{BitNode, Level, TimedEvent};
+use std::borrow::{Borrow, BorrowMut};
+use std::{fmt, iter};
 
 /// Host-visible events of a higher-level protocol node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,11 +103,25 @@ pub trait HlpLayer: fmt::Debug {
     /// might act — the next timer deadline. Every `on_tick` call before it
     /// must be a no-op (no state change, no actions), which is what lets
     /// [`HlpNode::quiescent_until`](majorcan_sim::BitNode::quiescent_until)
-    /// extend its controller's promise.
+    /// extend its controller's promise, and what the node's frame leap
+    /// ([`HlpNode::leap_frame`](majorcan_sim::BitNode::leap_frame)) ends
+    /// by.
     ///
     /// The default promises nothing (`now`), which is always sound.
     fn quiet_until(&self, now: u64) -> u64 {
         now
+    }
+
+    /// The shortest delay, in bits, of a timer a reaction can arm: every
+    /// deadline that [`on_link_event`](HlpLayer::on_link_event) at bit
+    /// `now` sets falls at `now + min_timer_delay()` or later. The node's
+    /// frame leap relies on it to prove that no timer armed inside a
+    /// leapt frame falls due inside it.
+    ///
+    /// The default, 0, promises nothing and makes every frame leap
+    /// decline, which is always sound.
+    fn min_timer_delay(&self) -> u64 {
+        0
     }
 
     /// Rewinds the layer to its freshly-constructed state (same
@@ -230,7 +247,8 @@ impl<L: HlpLayer> HlpNode<L> {
         self.next_seq += 1;
         let mut actions = LayerActions::default();
         self.layer.broadcast(id, payload, &mut actions);
-        self.apply(actions);
+        let host = self.apply(actions);
+        self.pending.extend(host);
         self.pending.push(HlpEvent::Broadcast { id });
         id
     }
@@ -240,11 +258,49 @@ impl<L: HlpLayer> HlpNode<L> {
         self.ctrl.crash();
     }
 
-    fn apply(&mut self, actions: LayerActions) {
+    /// Queues the layer's frames on the controller and returns its host
+    /// events.
+    fn apply(&mut self, actions: LayerActions) -> Vec<HlpEvent> {
         for frame in actions.outbox {
             self.ctrl.enqueue(frame);
         }
-        self.pending.extend(actions.events);
+        actions.events
+    }
+
+    /// The layer's half of one sampled bit: each of the controller's
+    /// `link` events at bit `now` reaches the layer and then the log (a
+    /// crash also as [`HlpEvent::Crashed`]), the timers tick, the layer's
+    /// frames are queued and its host events follow.
+    fn react(
+        &mut self,
+        now: u64,
+        link: impl Iterator<Item = CanEvent>,
+        events: &mut Vec<HlpEvent>,
+    ) {
+        let mut actions = LayerActions::default();
+        for ev in link {
+            if matches!(ev, CanEvent::Crashed) {
+                events.push(HlpEvent::Crashed);
+            }
+            self.layer.on_link_event(now, self.index, &ev, &mut actions);
+            events.push(HlpEvent::Link(ev));
+        }
+        self.layer.on_tick(now, self.index, &mut actions);
+        events.extend(self.apply(actions));
+    }
+}
+
+/// The node's controller, so that the controllers' clean-frame leap
+/// ([`leap_clean_frame`]) runs over a slice of these nodes.
+impl<L: HlpLayer> Borrow<Controller<StandardCan>> for HlpNode<L> {
+    fn borrow(&self) -> &Controller<StandardCan> {
+        &self.ctrl
+    }
+}
+
+impl<L: HlpLayer> BorrowMut<Controller<StandardCan>> for HlpNode<L> {
+    fn borrow_mut(&mut self) -> &mut Controller<StandardCan> {
+        &mut self.ctrl
     }
 }
 
@@ -272,23 +328,50 @@ impl<L: HlpLayer> BitNode for HlpNode<L> {
 
     fn observe(&mut self, now: u64, seen: Level, events: &mut Vec<HlpEvent>) {
         events.append(&mut self.pending);
-        self.ctrl.observe(now, seen, &mut self.link_buf);
-        let link_events = std::mem::take(&mut self.link_buf);
-        let mut actions = LayerActions::default();
-        for ev in &link_events {
-            if matches!(ev, CanEvent::Crashed) {
-                events.push(HlpEvent::Crashed);
+        let mut link = std::mem::take(&mut self.link_buf);
+        self.ctrl.observe(now, seen, &mut link);
+        self.react(now, link.drain(..), events);
+        self.link_buf = link;
+    }
+
+    /// Runs the controllers' clean-frame leap ([`leap_clean_frame`]),
+    /// then replays its link events through each node's layer in engine
+    /// order (bit, then node), exactly as `observe` hands them over.
+    /// Reactions are applied after the controllers' leap, which is
+    /// exact: a queued frame joins no frame already under way, and a
+    /// commit removes the in-flight entry, wherever new frames landed.
+    ///
+    /// Declines, changing nothing, when a node has host events to flush,
+    /// or when some layer's `on_tick` could act inside the frame: the
+    /// leap ends by every layer's [`quiet_until`](HlpLayer::quiet_until),
+    /// and within every layer's
+    /// [`min_timer_delay`](HlpLayer::min_timer_delay) of `now`, so no
+    /// timer a reaction arms falls due inside it either.
+    fn leap_frame(
+        nodes: &mut [Self],
+        now: u64,
+        limit: u64,
+        events: &mut Vec<TimedEvent<HlpEvent>>,
+    ) -> Option<u64> {
+        let mut limit = limit;
+        for node in nodes.iter() {
+            if !node.pending.is_empty() {
+                return None;
             }
-            self.layer.on_link_event(now, self.index, ev, &mut actions);
-            events.push(HlpEvent::Link(ev.clone()));
+            limit = limit
+                .min(node.layer.quiet_until(now))
+                .min(now.saturating_add(node.layer.min_timer_delay()));
         }
-        self.link_buf = link_events;
-        self.link_buf.clear();
-        self.layer.on_tick(now, self.index, &mut actions);
-        for frame in actions.outbox {
-            self.ctrl.enqueue(frame);
+        let mut link = Vec::new();
+        let end = leap_clean_frame(nodes, now, limit, &mut link)?;
+        let mut link = link.into_iter().peekable();
+        let mut host = Vec::new();
+        while let Some(&TimedEvent { at, node, .. }) = link.peek() {
+            let bit = iter::from_fn(|| link.next_if(|e| e.at == at && e.node == node));
+            nodes[node.index()].react(at, bit.map(|e| e.event), &mut host);
+            events.extend(host.drain(..).map(|event| TimedEvent { at, node, event }));
         }
-        events.extend(actions.events);
+        Some(end)
     }
 }
 
@@ -309,5 +392,149 @@ pub(crate) fn decode_tx_success(event: &CanEvent) -> Option<HlpMessage> {
     match event {
         CanEvent::TxSucceeded { frame, .. } => HlpMessage::decode(frame),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The frame leap's own preconditions, one at a time: each must
+    //! decline and leave every node untouched. Equivalence with stepping
+    //! is checked in the testbed's `leap_equivalence` suite.
+
+    use super::*;
+    use crate::{HlpConfig, MsgKind, TotCan};
+    use majorcan_sim::{NoFaults, Simulator};
+
+    /// A layer with hand-set timers: its next deadline and the shortest
+    /// delay its reactions arm. It reacts to nothing.
+    #[derive(Debug, Clone)]
+    struct Timers {
+        deadline: u64,
+        delay: u64,
+    }
+
+    /// Never due, never arming.
+    const IDLE: Timers = Timers {
+        deadline: u64::MAX,
+        delay: u64::MAX,
+    };
+
+    impl HlpLayer for Timers {
+        fn name(&self) -> &'static str {
+            "TIMERS"
+        }
+        fn broadcast(&mut self, id: BroadcastId, payload: &[u8], actions: &mut LayerActions) {
+            let data = HlpMessage {
+                kind: MsgKind::Data,
+                id,
+                payload: payload.to_vec(),
+            };
+            actions.send(&data, id.origin as usize);
+        }
+        fn on_link_event(&mut self, _: u64, _: usize, _: &CanEvent, _: &mut LayerActions) {}
+        fn on_tick(&mut self, _: u64, _: usize, _: &mut LayerActions) {}
+        fn quiet_until(&self, _now: u64) -> u64 {
+            self.deadline
+        }
+        fn min_timer_delay(&self) -> u64 {
+            self.delay
+        }
+        fn reset(&mut self) {}
+    }
+
+    /// Never due, but keeps the default `min_timer_delay`.
+    #[derive(Debug, Clone)]
+    struct DefaultDelay;
+
+    impl HlpLayer for DefaultDelay {
+        fn name(&self) -> &'static str {
+            "DEFAULT"
+        }
+        fn broadcast(&mut self, _: BroadcastId, _: &[u8], _: &mut LayerActions) {}
+        fn on_link_event(&mut self, _: u64, _: usize, _: &CanEvent, _: &mut LayerActions) {}
+        fn on_tick(&mut self, _: u64, _: usize, _: &mut LayerActions) {}
+        fn quiet_until(&self, _now: u64) -> u64 {
+            u64::MAX
+        }
+        fn reset(&mut self) {}
+    }
+
+    /// Three integrated nodes running `layers` on an idle bus, node 0
+    /// holding a DATA frame; and the bit they are at.
+    fn idle_bus<L: HlpLayer + Clone>(layers: [L; 3]) -> (Vec<HlpNode<L>>, u64) {
+        let mut sim = Simulator::new(NoFaults);
+        for (i, layer) in layers.into_iter().enumerate() {
+            sim.attach(HlpNode::new(layer, i));
+        }
+        sim.run(20);
+        let mut nodes: Vec<HlpNode<L>> = sim.nodes().cloned().collect();
+        let data = HlpMessage {
+            kind: MsgKind::Data,
+            id: BroadcastId { origin: 0, seq: 0 },
+            payload: vec![0x5A],
+        };
+        nodes[0].ctrl.enqueue(data.encode(0).expect("in range"));
+        (nodes, sim.now())
+    }
+
+    /// Leaps `nodes` from `now`, checking that a decline changed nothing.
+    fn leap<L: HlpLayer>(nodes: &mut [HlpNode<L>], now: u64) -> Option<u64> {
+        let before = format!("{nodes:?}");
+        let mut events = Vec::new();
+        let end = HlpNode::leap_frame(nodes, now, u64::MAX, &mut events);
+        if end.is_none() {
+            assert!(events.is_empty(), "a declined leap logged events");
+            assert_eq!(
+                format!("{nodes:?}"),
+                before,
+                "a declined leap changed a node"
+            );
+        }
+        end
+    }
+
+    #[test]
+    fn each_broken_precondition_declines_and_changes_nothing() {
+        let (mut nodes, now) = idle_bus([IDLE, IDLE, IDLE]);
+        let end = leap(&mut nodes, now).expect("a ready bus leaps");
+
+        // Host events still to flush: a broadcast just requested.
+        let (mut nodes, _) = idle_bus([IDLE, IDLE, IDLE]);
+        nodes[1].broadcast(&[1]);
+        assert_eq!(leap(&mut nodes, now), None, "host events pending");
+
+        // A timer already armed falls due inside the frame.
+        let due = |deadline| Timers { deadline, ..IDLE };
+        let (mut nodes, _) = idle_bus([IDLE, due(end - 1), IDLE]);
+        assert_eq!(leap(&mut nodes, now), None, "a deadline inside the frame");
+        let (mut nodes, _) = idle_bus([IDLE, due(end), IDLE]);
+        assert_eq!(leap(&mut nodes, now), Some(end), "a deadline at its end");
+
+        // A reaction could arm a timer that falls due inside the frame.
+        let arming = |delay| Timers { delay, ..IDLE };
+        let (mut nodes, _) = idle_bus([IDLE, IDLE, arming(end - now - 1)]);
+        assert_eq!(leap(&mut nodes, now), None, "a delay inside the frame");
+        let (mut nodes, _) = idle_bus([IDLE, IDLE, arming(end - now)]);
+        assert_eq!(leap(&mut nodes, now), Some(end), "a delay to its end");
+
+        // A layer that promises no delay at all.
+        let (mut nodes, _) = idle_bus([DefaultDelay, DefaultDelay, DefaultDelay]);
+        assert_eq!(leap(&mut nodes, now), None, "the default delay");
+    }
+
+    /// TOTCAN's ACCEPT timeout is a public field: a receiver that queues
+    /// the DATA would time out inside the frame, so the leap declines.
+    #[test]
+    fn a_short_totcan_timeout_declines() {
+        let (mut nodes, now) = idle_bus([TotCan::new(), TotCan::new(), TotCan::new()]);
+        assert!(leap(&mut nodes, now).is_some(), "the default timeout leaps");
+        let short = || {
+            TotCan::with_config(HlpConfig {
+                accept_timeout_bits: 10,
+                ..HlpConfig::default()
+            })
+        };
+        let (mut nodes, now) = idle_bus([short(), short(), short()]);
+        assert_eq!(leap(&mut nodes, now), None);
     }
 }

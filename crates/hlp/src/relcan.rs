@@ -160,6 +160,10 @@ impl HlpLayer for RelCan {
             .unwrap_or(u64::MAX)
     }
 
+    fn min_timer_delay(&self) -> u64 {
+        self.config.confirm_timeout_bits
+    }
+
     fn reset(&mut self) {
         self.delivered.clear();
         self.awaiting_confirm.clear();

@@ -160,6 +160,10 @@ impl HlpLayer for TotCan {
             .unwrap_or(u64::MAX)
     }
 
+    fn min_timer_delay(&self) -> u64 {
+        self.config.accept_timeout_bits
+    }
+
     fn reset(&mut self) {
         self.delivered.clear();
         self.pending.clear();

@@ -8,7 +8,7 @@
 //! assembly, once:
 //!
 //! * [`Testbed`] / [`TestbedBuilder`] — build a cluster for any
-//!   [`ProtocolSpec`](majorcan_campaign::ProtocolSpec) (the three link
+//!   [`ProtocolSpec`] (the three link
 //!   variants and the three CAN-based higher-level protocols) and run
 //!   schedules, scenarios or workloads on it.
 //! * [`BusChannel`] — the closed set of fault channels a run can install,

@@ -1,14 +1,14 @@
 //! The [`Testbed`]: build a cluster once, run it thousands of times.
 
 use crate::channel::BusChannel;
+use crate::lanes::{self, Stack};
 use crate::outcome::{classify, Outcome};
 use crate::scenario_run::ScenarioRun;
-use majorcan_abcast::check_can_events;
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::{CanEvent, Controller, ControllerConfig, Frame, Variant};
 use majorcan_core::{MajorCan, MinorCan};
 use majorcan_faults::{scenario_frame, AttackAction, Attacker, CrashRule, Disturbance, Scenario};
-use majorcan_hlp::{trace_from_hlp_events, BroadcastId, EdCan, HlpEvent, HlpNode, RelCan, TotCan};
+use majorcan_hlp::{BroadcastId, EdCan, HlpEvent, HlpNode, RelCan, TotCan};
 use majorcan_sim::{NodeId, SimSnapshot, Simulator, TimedEvent};
 use majorcan_workload::ReleaseSource;
 
@@ -54,8 +54,8 @@ enum Cluster {
 }
 
 /// Dispatches over every cluster kind. The body must compile for both
-/// `Controller` and `HlpNode` nodes (their reuse APIs are intentionally
-/// parallel: `reset`, `set_fail_at`).
+/// `Controller` and `HlpNode` nodes: it sees them through their
+/// [`Stack`] methods and their intentionally parallel `set_fail_at`.
 macro_rules! each_sim {
     ($cluster:expr, $sim:ident => $body:expr) => {
         match $cluster {
@@ -351,10 +351,7 @@ impl Testbed {
     pub fn reset_with(&mut self, channel: BusChannel) {
         each_sim!(&mut self.cluster, sim => {
             sim.reset_with_channel(channel);
-            for node in sim.nodes_mut() {
-                node.set_fail_at(None);
-                node.reset();
-            }
+            sim.nodes_mut().for_each(Stack::rewind);
         });
     }
 
@@ -367,10 +364,7 @@ impl Testbed {
         each_sim!(&mut self.cluster, sim => {
             sim.channel_mut().clone_from(channel);
             sim.reset();
-            for node in sim.nodes_mut() {
-                node.set_fail_at(None);
-                node.reset();
-            }
+            sim.nodes_mut().for_each(Stack::rewind);
         });
     }
 
@@ -430,18 +424,7 @@ impl Testbed {
     /// fault channel, reusing the previous script's allocation when the
     /// testbed already ran one.
     pub fn load_script(&mut self, disturbances: &[Disturbance]) {
-        each_sim!(&mut self.cluster, sim => {
-            if let BusChannel::Scripted(script) = sim.channel_mut() {
-                script.reload(disturbances);
-                sim.reset();
-            } else {
-                sim.reset_with_channel(BusChannel::scripted(disturbances.to_vec()));
-            }
-            for node in sim.nodes_mut() {
-                node.set_fail_at(None);
-                node.reset();
-            }
-        });
+        each_sim!(&mut self.cluster, sim => lanes::rewind(sim, disturbances));
     }
 
     /// Rewinds the cluster and arms `actions` as a budgeted attack
@@ -455,10 +438,7 @@ impl Testbed {
             } else {
                 sim.reset_with_channel(BusChannel::attack(actions.to_vec(), budget));
             }
-            for node in sim.nodes_mut() {
-                node.set_fail_at(None);
-                node.reset();
-            }
+            sim.nodes_mut().for_each(Stack::rewind);
         });
     }
 
@@ -499,8 +479,8 @@ impl Testbed {
     }
 
     /// Simulates `bits` bit times, leaping stretches the bus provably
-    /// idles through and, on a link cluster, every frame the channel
-    /// promises clean (see [`Simulator::run`]).
+    /// idles through and every frame the channel promises clean (see
+    /// [`Simulator::run`]).
     pub fn run(&mut self, bits: u64) {
         each_sim!(&mut self.cluster, sim => sim.run(bits));
     }
@@ -531,7 +511,7 @@ impl Testbed {
             let mut calm = 0u64;
             for done in 0..max_bits {
                 sim.step();
-                calm = if crate::lanes::drained(sim) { calm + 1 } else { 0 };
+                calm = if lanes::drained(sim) { calm + 1 } else { 0 };
                 if calm >= settle {
                     return done + 1;
                 }
@@ -558,7 +538,7 @@ impl Testbed {
     /// `true` when every node is idle with an empty queue (or crashed) —
     /// the bus has drained. Link-layer clusters only.
     pub fn is_drained(&self) -> bool {
-        link_sim!(&self.cluster, self.protocol, "is_drained", sim => crate::lanes::drained(sim))
+        link_sim!(&self.cluster, self.protocol, "is_drained", sim => lanes::drained(sim))
     }
 
     /// The scripted disturbances that have not fired (empty for
@@ -593,22 +573,8 @@ impl Testbed {
     /// Grades the current run with the Atomic Broadcast checker and
     /// classifies it into the shared [`Outcome`] vocabulary.
     pub fn outcome(&self) -> Outcome {
-        let unfired = self.unfired_len();
-        let verdict = match &self.cluster {
-            Cluster::Can(sim) => check_can_events(sim.events(), self.n_nodes).verdict(),
-            Cluster::Minor(sim) => check_can_events(sim.events(), self.n_nodes).verdict(),
-            Cluster::Major(sim) => check_can_events(sim.events(), self.n_nodes).verdict(),
-            Cluster::Ed(sim) => trace_from_hlp_events(sim.events(), self.n_nodes)
-                .check()
-                .verdict(),
-            Cluster::Rel(sim) => trace_from_hlp_events(sim.events(), self.n_nodes)
-                .check()
-                .verdict(),
-            Cluster::Tot(sim) => trace_from_hlp_events(sim.events(), self.n_nodes)
-                .check()
-                .verdict(),
-        };
-        classify(verdict, unfired)
+        let verdict = each_sim!(&self.cluster, sim => Stack::verdict(sim, self.n_nodes));
+        classify(verdict, self.unfired_len())
     }
 
     /// The campaign hot loop: rewinds the cluster, loads `schedule`,
@@ -618,28 +584,21 @@ impl Testbed {
     /// configured budget without trace recording and classifies the run.
     /// Bits after the run settles — every node idle or crashed, no timer
     /// pending, no script entry an idle bus could still match — are
-    /// leapt, not stepped. On a link cluster, so is every frame sent
-    /// after the script has fully fired (typically the retransmission
-    /// the script forced): only the disturbed attempts are stepped.
+    /// leapt, not stepped. So is every frame sent after the script has
+    /// fully fired (typically the retransmission the script forced, and
+    /// on an HLP cluster the protocol frames that follow it, where no
+    /// layer timer can fall due inside the frame): only the disturbed
+    /// attempts are stepped.
     ///
     /// On a link cluster, a run whose budget elapses while the bus is
     /// still active (not [`Testbed::is_drained`]) classifies as
     /// [`Outcome::Truncated`] instead of a clean verdict: the trace is a
     /// prefix, and "no violation on a prefix" is not "no violation".
+    /// Higher-level-protocol runs are graded without that check.
     pub fn run_schedule(&mut self, schedule: &[Disturbance]) -> Outcome {
         self.set_record_trace(false);
         let (n_nodes, budget) = (self.n_nodes, self.budget);
-        match &mut self.cluster {
-            Cluster::Can(sim) => crate::lanes::run_one(sim, n_nodes, budget, schedule),
-            Cluster::Minor(sim) => crate::lanes::run_one(sim, n_nodes, budget, schedule),
-            Cluster::Major(sim) => crate::lanes::run_one(sim, n_nodes, budget, schedule),
-            _ => {
-                self.load_script(schedule);
-                self.broadcast(0, HLP_PROBE_PAYLOAD);
-                self.run(self.budget);
-                self.outcome()
-            }
-        }
+        each_sim!(&mut self.cluster, sim => lanes::run_one(sim, n_nodes, budget, schedule))
     }
 
     /// Forwards to [`Testbed::run_lanes`]. Kept only because the pinned
@@ -653,26 +612,15 @@ impl Testbed {
     /// [`Outcome`] per schedule in input order — each identical to what
     /// [`Testbed::run_schedule`] would return for it on this testbed.
     ///
-    /// On a link cluster the batch shares one fault-free trunk: while a
-    /// schedule's script cannot have fired, its run is bit-identical to
-    /// the fault-free run, so the trunk is stepped once for all of them
-    /// and each schedule is peeled off to the scalar path (from a
-    /// snapshot) at the first bit where its script could fire.
-    /// Higher-level-protocol clusters fall back to per-schedule
-    /// [`Testbed::run_schedule`] calls.
+    /// The batch shares one fault-free trunk, on link and
+    /// higher-level-protocol clusters alike: while a schedule's script
+    /// cannot have fired, its run is bit-identical to the fault-free run,
+    /// so the trunk is stepped once for all of them and each schedule is
+    /// peeled off to the scalar path (from a snapshot) at the first bit
+    /// where its script could fire.
     pub fn run_lanes(&mut self, schedules: &[&[Disturbance]]) -> Vec<Outcome> {
-        match &mut self.cluster {
-            Cluster::Can(sim) => {
-                crate::lanes::run_lanes_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            Cluster::Minor(sim) => {
-                crate::lanes::run_lanes_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            Cluster::Major(sim) => {
-                crate::lanes::run_lanes_link(sim, self.n_nodes, self.budget, schedules)
-            }
-            _ => schedules.iter().map(|s| self.run_schedule(s)).collect(),
-        }
+        let (n_nodes, budget) = (self.n_nodes, self.budget);
+        each_sim!(&mut self.cluster, sim => lanes::run_lanes(sim, n_nodes, budget, schedules))
     }
 
     /// The attack-campaign hot loop: rewinds the cluster, arms `actions`

@@ -1,9 +1,10 @@
 //! The batch engine's correctness gate: one shared fault-free trunk per
 //! batch ([`Testbed::run_lanes`]) must classify every schedule exactly
 //! like the scalar hot loop ([`Testbed::run_schedule`]) on the same
-//! reused testbed, across every protocol variant — both on the
-//! prefix-free workload the trunk exists for and on prefix families
-//! shaped like the falsifier's tail-biased schedules.
+//! reused testbed, on all six stacks (link and higher-level-protocol
+//! clusters ride the same trunk) — both on the prefix-free workload the
+//! trunk exists for and on prefix families shaped like the falsifier's
+//! tail-biased schedules.
 //!
 //! The schedule generator deliberately covers the awkward cases: empty
 //! schedules, duplicate schedules, occurrence-2 and stuff-bit entries,
@@ -14,8 +15,10 @@
 //! attacker channel.
 
 use majorcan_campaign::ProtocolSpec;
-use majorcan_can::Field;
+use majorcan_can::{CanEvent, Field};
 use majorcan_faults::{AttackAction, Disturbance};
+use majorcan_hlp::HlpEvent;
+use majorcan_sim::NodeId;
 use majorcan_testbed::{Outcome, Testbed};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -183,8 +186,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // The engine's gate: batch outcomes equal scalar outcomes, schedule
-    // by schedule, on every protocol variant (HLP targets exercise the
-    // per-schedule fallback dispatch), for the independent draws and for
+    // by schedule, on all six stacks, for the independent draws and for
     // the same draws nudged into prefix families.
     #[test]
     fn lanes_classify_every_schedule_like_the_scalar_loop(
@@ -208,8 +210,7 @@ proptest! {
 
 /// One batch larger than any production batch (a falsifier job runs at
 /// most 50 schedules): 145 schedules share one trunk, with outcomes
-/// still in input order and scalar-identical. HLP clusters take the
-/// per-schedule fallback on the same pool.
+/// still in input order and scalar-identical, on all six stacks.
 #[test]
 fn multi_block_packing_matches_scalar() {
     let pool = prefix_free_pool(0xB10C5, 64 + 64 + 17);
@@ -222,37 +223,76 @@ fn multi_block_packing_matches_scalar() {
     }
 }
 
-/// Schedules that drive a node to bus-off (or target the bus-off /
-/// crashed fields directly) must classify identically: the crashed
-/// target takes the scalar path whole, the idle target peels once a node
-/// shows `Idle`, the bus-off target rides the trunk to the end, and a
-/// trunk survivor's verdict is untouched by another schedule's bus-off
-/// replay.
+/// `count` hits on the transmitter's ACK slot, every one at occurrence
+/// 1: a firing entry hides its bit from the entries after it, so each
+/// fires on a successive attempt, and every hit costs the transmitter 8
+/// error-counter points.
+fn ack_hammer(count: usize) -> Vec<Disturbance> {
+    vec![Disturbance::first(0, Field::AckSlot, 0); count]
+}
+
+/// `true` when node 0 crashed in the testbed's last run.
+fn transmitter_crashed(tb: &Testbed) -> bool {
+    if tb.protocol().is_hlp() {
+        tb.hlp_events()
+            .iter()
+            .any(|e| e.node == NodeId(0) && e.event == HlpEvent::Crashed)
+    } else {
+        tb.can_events()
+            .iter()
+            .any(|e| e.node == NodeId(0) && e.event == CanEvent::Crashed)
+    }
+}
+
+/// Batch outcomes equal scalar outcomes on `tb` for `schedules`.
+fn assert_batch_matches_scalar(tb: &mut Testbed, schedules: &[Vec<Disturbance>]) {
+    let refs: Vec<&[Disturbance]> = schedules.iter().map(Vec::as_slice).collect();
+    let scalar: Vec<Outcome> = schedules.iter().map(|s| tb.run_schedule(s)).collect();
+    let laned = tb.run_lanes(&refs);
+    assert_eq!(laned, scalar, "{}", tb.protocol());
+}
+
+/// Schedules that crash the transmitter or drive it to bus-off (or
+/// target the bus-off / crashed fields directly) must classify
+/// identically: the crashed target takes the scalar path whole, the
+/// idle target peels once a node shows `Idle`, the bus-off target rides
+/// the trunk to the end, and a trunk survivor's verdict is untouched by
+/// another schedule's crash or bus-off replay.
 #[test]
 fn bus_off_and_crash_lanes_peel_to_scalar() {
-    // Hammering the ACK slot repeatedly walks the transmitter's error
-    // counter; occurrence-stacked error-flag hits do the same for
-    // receivers. Mix those heavy schedules with clean and light ones.
-    let mut heavy = Vec::new();
-    for occ in 1..=8u32 {
-        let mut d = Disturbance::first(0, Field::AckSlot, 0);
-        d.occurrence = occ;
-        heavy.push(d);
-    }
-    let schedules: Vec<Vec<Disturbance>> = vec![
-        heavy,
+    let light = [
         vec![Disturbance::first(1, Field::BusOff, 0)],
         vec![Disturbance::first(2, Field::Crashed, 0)],
         vec![],
         vec![Disturbance::first(1, Field::Eof, 2)],
         vec![Disturbance::first(0, Field::Idle, 0)],
     ];
-    let refs: Vec<&[Disturbance]> = schedules.iter().map(Vec::as_slice).collect();
-    for protocol in LINK_PROTOCOLS {
+    // Twelve lost ACKs reach the warning level (96), where the default
+    // policy crashes the transmitter, on every stack.
+    let crash = ack_hammer(12);
+    for protocol in ALL_PROTOCOLS {
         let mut tb = Testbed::builder(protocol).nodes(3).build();
-        let scalar: Vec<Outcome> = schedules.iter().map(|s| tb.run_schedule(s)).collect();
-        let laned = tb.run_lanes(&refs);
-        assert_eq!(laned, scalar, "{protocol}");
+        tb.run_schedule(&crash);
+        assert!(transmitter_crashed(&tb), "{protocol}: no warning crash");
+        assert_batch_matches_scalar(&mut tb, &[[crash.clone()].as_slice(), &light].concat());
+    }
+    // With the shutoff off, 32 lost ACKs reach bus-off (256).
+    let bus_off = ack_hammer(32);
+    for protocol in LINK_PROTOCOLS {
+        let mut tb = Testbed::builder(protocol)
+            .nodes(3)
+            .shutoff_at_warning(false)
+            .build();
+        tb.run_schedule(&bus_off);
+        let went_bus_off = tb
+            .can_events()
+            .iter()
+            .any(|e| e.node == NodeId(0) && e.event == CanEvent::WentBusOff);
+        assert!(
+            went_bus_off,
+            "{protocol}: the transmitter never went bus-off"
+        );
+        assert_batch_matches_scalar(&mut tb, &[[bus_off.clone()].as_slice(), &light].concat());
     }
 }
 

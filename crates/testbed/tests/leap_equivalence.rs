@@ -28,6 +28,14 @@
 //! queued frames (identifiers, data payloads of 0–8 bytes, remote frames,
 //! 2–7 nodes), the inputs of the `can` crate's clean-bus suites, which
 //! run through that leap.
+//!
+//! The fifth gates the higher-level-protocol frame leap, which replays
+//! the controllers' leapt link events through each node's layer: EDCAN,
+//! RELCAN and TOTCAN buses with several broadcasters, crashed
+//! transmitters and short scripts, checked after every chunk, and
+//! required to leap every receiver's EDCAN duplicate, a RELCAN CONFIRM,
+//! a TOTCAN ACCEPT, and a frame before each crashed transmitter's
+//! CONFIRM or ACCEPT timeout.
 
 use majorcan_abcast::trace_from_can_events;
 use majorcan_abcast::{msg_id_of, MsgId, WindowedChecker};
@@ -38,6 +46,7 @@ use majorcan_core::{MajorCan, MinorCan};
 use majorcan_falsify::{generate_attack, AttackSchedule, Geometry, ATTACK_BUDGET};
 use majorcan_faults::{scenario_frame, AttackAction, Disturbance, Strategy as Attack};
 use majorcan_hlp::{trace_from_hlp_events, EdCan, HlpEvent, HlpLayer, HlpNode, RelCan, TotCan};
+use majorcan_hlp::{HlpMessage, MsgKind};
 use majorcan_sim::{BitNode, ChannelModel, Level, NodeId, Simulator, TimedEvent};
 use majorcan_testbed::{
     budget_for, classify, BusChannel, Outcome, Testbed, HLP_BUDGET, HLP_PROBE_PAYLOAD, LINK_BUDGET,
@@ -52,6 +61,7 @@ use majorcan_workload::{drive_source, FrameSink, Release, ReleaseSource};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 const N_NODES: usize = 3;
 
@@ -631,7 +641,7 @@ fn a_fully_fired_script_leaps_the_retransmission() {
 }
 
 #[test]
-fn clean_totcan_broadcast_steps_only_data_and_accept() {
+fn clean_totcan_broadcast_steps_only_the_bus_integration() {
     let mut sim = Simulator::new(Counting {
         inner: BusChannel::scripted(Vec::new()),
         calls: 0,
@@ -648,10 +658,11 @@ fn clean_totcan_broadcast_steps_only_data_and_accept() {
         .filter(|e| matches!(e.event, HlpEvent::Delivered { .. }))
         .count();
     assert_eq!(delivered, N_NODES, "every node delivered on ACCEPT");
-    // Measured: 195 bits (integration, DATA, ACCEPT).
+    // Measured: 11 bits, the bus integration; the DATA and ACCEPT
+    // frames are leapt, the drained bus after them too.
     let stepped = stepped_bits(&sim);
     assert!(
-        stepped <= 260,
+        stepped <= 11,
         "a clean TOTCAN broadcast stepped {stepped} of {HLP_BUDGET} bits"
     );
 }
@@ -1253,4 +1264,281 @@ fn run_leaps_arbitrary_frames_bit_identically() {
         leapt * 4 >= runs * 3,
         "the frame leap fired in only {leapt} of {runs} runs"
     );
+}
+
+// ---------------------------------------------------------------------
+// The frame leap on higher-level-protocol clusters. `HlpNode::leap_frame`
+// runs the controllers' leap, then replays its link events through each
+// node's layer; the reactions (EDCAN duplicates, RELCAN's CONFIRM,
+// TOTCAN's ACCEPT, deliveries, armed timers) must land where stepping
+// puts them.
+
+/// Forwards a channel and records each bit it is asked about once: the
+/// bits stepped. An event on any other bit came from a frame leap.
+struct Marking<C> {
+    inner: C,
+    stepped: Vec<u64>,
+}
+
+impl<C: ChannelModel<WirePos>> ChannelModel<WirePos> for Marking<C> {
+    fn disturb(&mut self, bit: u64, node: NodeId, tag: &WirePos, wire: Level) -> bool {
+        if self.stepped.last() != Some(&bit) {
+            self.stepped.push(bit);
+        }
+        self.inner.disturb(bit, node, tag, wire)
+    }
+
+    fn quiet_until(&self, now: u64) -> u64 {
+        self.inner.quiet_until(now)
+    }
+
+    fn clean_until(&self, now: u64) -> u64 {
+        self.inner.clean_until(now)
+    }
+}
+
+impl<C> Marking<C> {
+    fn leapt(&self, bit: u64) -> bool {
+        self.stepped.binary_search(&bit).is_err()
+    }
+}
+
+/// One bus of the higher-level-protocol frame-leap gate.
+#[derive(Debug, Clone)]
+struct HlpCase {
+    n_nodes: usize,
+    /// `(chunk, node, payload)`: `node` requests a broadcast of
+    /// `payload` before chunk `chunk` runs. The first is node 0's, before
+    /// the first chunk.
+    broadcasts: Vec<(usize, usize, Vec<u8>)>,
+    /// Node 0's scheduled crash.
+    fail_at: Option<u64>,
+    /// `None` runs the fault-free channel.
+    script: Option<Vec<Disturbance>>,
+    /// The bits of each `run` call; their ends cap the leaps.
+    chunks: Vec<u64>,
+}
+
+type HlpSim<L, C> = Simulator<HlpNode<L>, C>;
+
+impl HlpCase {
+    /// 2–5 nodes and one to three broadcasts of 0–4 bytes; a third of the
+    /// cases crash node 0 within its first 400 bits (typically between
+    /// its DATA and the CONFIRM or ACCEPT that should follow), and a
+    /// third run a short script on fields every frame carries.
+    fn random(seed: u64) -> HlpCase {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n_nodes = rng.gen_range(2..=5usize);
+        let mut chunks = Vec::new();
+        let mut left = HLP_BUDGET;
+        while left > 0 {
+            let bits = rng.gen_range(1..=1_500u64).min(left);
+            chunks.push(bits);
+            left -= bits;
+        }
+        let payload = |rng: &mut StdRng| -> Vec<u8> {
+            (0..rng.gen_range(0..=4))
+                .map(|_| rng.gen_range(0..=u8::MAX))
+                .collect()
+        };
+        let mut broadcasts = vec![(0, 0, payload(&mut rng))];
+        for _ in 0..rng.gen_range(0..=2) {
+            let chunk = rng.gen_range(0..chunks.len());
+            let node = rng.gen_range(0..n_nodes);
+            broadcasts.push((chunk, node, payload(&mut rng)));
+        }
+        let fail_at = rng.gen_bool(1.0 / 3.0).then(|| rng.gen_range(0..400));
+        let script = rng.gen_bool(1.0 / 3.0).then(|| {
+            (0..rng.gen_range(1..=3))
+                .map(|_| {
+                    let (field, bits) = FRAME_FIELDS[rng.gen_range(0..FRAME_FIELDS.len())];
+                    Disturbance::first(rng.gen_range(0..n_nodes), field, rng.gen_range(0..bits))
+                })
+                .collect()
+        });
+        HlpCase {
+            n_nodes,
+            broadcasts,
+            fail_at,
+            script,
+            chunks,
+        }
+    }
+
+    fn channel(&self) -> BusChannel {
+        match &self.script {
+            None => BusChannel::NoFaults,
+            Some(script) => BusChannel::scripted(script.clone()),
+        }
+    }
+
+    fn cluster<L: HlpLayer, C: ChannelModel<WirePos>>(
+        &self,
+        layer: fn() -> L,
+        channel: C,
+    ) -> HlpSim<L, C> {
+        let mut sim = Simulator::new(channel);
+        for i in 0..self.n_nodes {
+            sim.attach(HlpNode::new(layer(), i));
+        }
+        sim.node_mut(NodeId(0)).set_fail_at(self.fail_at);
+        sim
+    }
+
+    /// Requests the broadcasts due before chunk `chunk`.
+    fn request<L: HlpLayer, C: ChannelModel<WirePos>>(&self, sim: &mut HlpSim<L, C>, chunk: usize) {
+        for (at, node, payload) in &self.broadcasts {
+            if *at == chunk {
+                sim.node_mut(NodeId(*node)).broadcast(payload);
+            }
+        }
+    }
+
+    /// `Simulator::run` against a plain `step()` loop on the clock and
+    /// the events, and against stepping every frame bit (quiet stretches
+    /// leapt, which skip the drive phase and so leave `bit_now` behind)
+    /// on every node's full state, after every chunk. Returns the leaping
+    /// run.
+    fn check<L: HlpLayer + Clone>(&self, layer: fn() -> L) -> HlpSim<L, Marking<BusChannel>> {
+        let marking = Marking {
+            inner: self.channel(),
+            stepped: Vec::new(),
+        };
+        let mut fast = self.cluster(layer, marking);
+        let mut frames = self.cluster(layer, self.channel());
+        let mut plain = self.cluster(layer, self.channel());
+        for (chunk, &bits) in self.chunks.iter().enumerate() {
+            self.request(&mut fast, chunk);
+            self.request(&mut frames, chunk);
+            self.request(&mut plain, chunk);
+            fast.run(bits);
+            run_stepping_frames(&mut frames, bits);
+            for _ in 0..bits {
+                plain.step();
+            }
+            let at = plain.now();
+            let name = layer().name();
+            assert_eq!(fast.now(), at, "{name} {self:?}: clock");
+            assert_eq!(
+                fast.events(),
+                plain.events(),
+                "{name} {self:?}: events by bit {at}"
+            );
+            assert_eq!(
+                format!("{:?}", fast.nodes().collect::<Vec<_>>()),
+                format!("{:?}", frames.nodes().collect::<Vec<_>>()),
+                "{name} {self:?}: states at bit {at}"
+            );
+        }
+        fast
+    }
+}
+
+/// The protocol message a link event carries, if it is `want` and
+/// names a protocol frame.
+fn hlp_kind(event: &HlpEvent, want: fn(&CanEvent) -> Option<&Frame>) -> Option<MsgKind> {
+    match event {
+        HlpEvent::Link(link) => want(link).and_then(HlpMessage::decode).map(|m| m.kind),
+        _ => None,
+    }
+}
+
+fn succeeded(event: &CanEvent) -> Option<&Frame> {
+    match event {
+        CanEvent::TxSucceeded { frame, .. } => Some(frame),
+        _ => None,
+    }
+}
+
+fn started(event: &CanEvent) -> Option<&Frame> {
+    match event {
+        CanEvent::TxStarted { frame, .. } => Some(frame),
+        _ => None,
+    }
+}
+
+/// The first bit of `sim`'s log that a frame leap produced.
+fn first_leapt<L: HlpLayer>(sim: &HlpSim<L, Marking<BusChannel>>) -> Option<u64> {
+    sim.events()
+        .iter()
+        .map(|e| e.at)
+        .find(|&at| sim.channel().leapt(at))
+}
+
+/// Buses in the higher-level-protocol frame-leap gate, each run on the
+/// three protocols.
+const HLP_CASES: u64 = 24;
+
+#[test]
+fn hlp_runs_leap_frames_bit_identically() {
+    let (mut runs, mut leapt) = (0, 0);
+    let mut edcan_every_dup_leapt = false;
+    let mut relcan_confirm_leapt = false;
+    let mut totcan_accept_leapt = false;
+    let mut relcan_timeout_after_leap = false;
+    let mut totcan_timeout_after_leap = false;
+    for k in 0..HLP_CASES {
+        let case = HlpCase::random(derive_trial_seed(0x41C9, k));
+        let crashed = case.fail_at.is_some();
+
+        let sim = case.check(EdCan::new);
+        let dup_senders: BTreeSet<NodeId> = sim
+            .events()
+            .iter()
+            .filter(|e| sim.channel().leapt(e.at))
+            .filter(|e| hlp_kind(&e.event, succeeded) == Some(MsgKind::Dup))
+            .map(|e| e.node)
+            .collect();
+        edcan_every_dup_leapt |= case.n_nodes >= 3 && dup_senders.len() == case.n_nodes - 1;
+        runs += 1;
+        leapt += usize::from(first_leapt(&sim).is_some());
+
+        let sim = case.check(RelCan::new);
+        relcan_confirm_leapt |= sim.events().iter().any(|e| {
+            sim.channel().leapt(e.at) && hlp_kind(&e.event, succeeded) == Some(MsgKind::Confirm)
+        });
+        // A receiver that starts its duplicate timed out on the CONFIRM.
+        let timeout = sim
+            .events()
+            .iter()
+            .find(|e| e.node != NodeId(0) && hlp_kind(&e.event, started) == Some(MsgKind::Dup));
+        relcan_timeout_after_leap |=
+            crashed && timeout.is_some_and(|t| first_leapt(&sim).is_some_and(|at| at < t.at));
+        runs += 1;
+        leapt += usize::from(first_leapt(&sim).is_some());
+
+        let sim = case.check(TotCan::new);
+        totcan_accept_leapt |= sim.events().iter().any(|e| {
+            e.node != NodeId(0)
+                && sim.channel().leapt(e.at)
+                && matches!(e.event, HlpEvent::Delivered { .. })
+        });
+        let timeout = sim
+            .events()
+            .iter()
+            .find(|e| matches!(e.event, HlpEvent::Dropped { .. }));
+        totcan_timeout_after_leap |=
+            crashed && timeout.is_some_and(|t| first_leapt(&sim).is_some_and(|at| at < t.at));
+        runs += 1;
+        leapt += usize::from(first_leapt(&sim).is_some());
+    }
+    assert!(
+        edcan_every_dup_leapt,
+        "no EDCAN bus leapt every receiver's duplicate"
+    );
+    assert!(relcan_confirm_leapt, "no RELCAN CONFIRM was leapt");
+    assert!(totcan_accept_leapt, "no TOTCAN ACCEPT delivery was leapt");
+    assert!(
+        relcan_timeout_after_leap,
+        "no RELCAN CONFIRM timeout fired after a leap"
+    );
+    assert!(
+        totcan_timeout_after_leap,
+        "no TOTCAN ACCEPT timeout fired after a leap"
+    );
+    assert!(
+        leapt * 4 >= runs * 3,
+        "the frame leap fired in only {leapt} of {runs} runs"
+    );
+    eprintln!("hlp leap: {leapt} of {runs} runs leapt a frame");
 }

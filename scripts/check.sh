@@ -4,7 +4,7 @@
 # In a git checkout it also fails if any step changed the working tree.
 #
 #   scripts/check.sh          # everything
-#   scripts/check.sh --fast   # skip the test suite (fmt + clippy + smoke)
+#   scripts/check.sh --fast   # skip the test suite (fmt + clippy + doc + smoke)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +30,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [[ "$fast" -eq 0 ]]; then
     echo "==> cargo test --workspace"
