@@ -284,11 +284,6 @@ impl WindowedChecker {
         self.peak_live
     }
 
-    /// Messages seen so far (live plus retired).
-    pub fn messages_seen(&self) -> u64 {
-        self.retired.messages + self.live.len() as u64
-    }
-
     /// Largest gap observed between consecutive events of one message,
     /// including gaps proven by a suspect revival. Must stay below
     /// [`window`](Self::window) for the window precondition to hold.

@@ -17,7 +17,6 @@ use majorcan_campaign::{
     WorkloadSpec,
 };
 use majorcan_can::{encode_frame, Field, Variant};
-use majorcan_core::{MajorCan, MinorCan};
 use majorcan_faults::{scenario_frame, Disturbance};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -212,19 +211,11 @@ pub fn render_entries(name: &str, entries: &[AtlasEntry]) -> String {
     out
 }
 
-/// Renders the full atlas comparison across the three link-layer variants.
-pub fn render_all() -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", render_atlas(&majorcan_can::StandardCan));
-    let _ = writeln!(out, "{}", render_atlas(&MinorCan));
-    let _ = writeln!(out, "{}", render_atlas(&MajorCan::proposed()));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use majorcan_can::StandardCan;
+    use majorcan_core::MajorCan;
 
     #[test]
     fn atlas_covers_three_views_of_every_position() {

@@ -10,9 +10,9 @@
 //! ```
 
 use majorcan_bench::atlas::{atlas_jobs, entries_from, frame_positions, render_entries};
-use majorcan_bench::cli::{self, CliArgs};
+use majorcan_bench::cli::CliArgs;
 use majorcan_bench::jobs::{protocol_spec_of, JobRunner};
-use majorcan_campaign::{run_campaign_in_memory_scoped, run_campaign_scoped, Job, Manifest};
+use majorcan_campaign::Job;
 use majorcan_can::{StandardCan, Variant};
 use majorcan_core::{MajorCan, MinorCan};
 use std::ops::Range;
@@ -44,26 +44,7 @@ fn main() {
     add_section(&mut jobs, &mut sections, cli.seed, &MinorCan);
     add_section(&mut jobs, &mut sections, cli.seed, &MajorCan::proposed());
 
-    let opts = cli.campaign_options();
-    let report = match &cli.out {
-        Some(path) => {
-            let manifest = Manifest::for_jobs("atlas", cli.seed, &jobs);
-            let mut sink = cli::open_sink(path, &manifest);
-            run_campaign_scoped(&jobs, &opts, &mut sink, JobRunner::new, |runner, job| {
-                runner.run_job(job)
-            })
-            .expect("campaign I/O")
-        }
-        None => run_campaign_in_memory_scoped(&jobs, &opts, JobRunner::new, |runner, job| {
-            runner.run_job(job)
-        }),
-    };
-    if !report.failures.is_empty() {
-        eprintln!(
-            "warning: {} job(s) failed; see the failures artifact",
-            report.failures.len()
-        );
-    }
+    let report = cli.run_campaign("atlas", &jobs, JobRunner::new, JobRunner::run_job);
 
     for (name, range) in &sections {
         let entries = entries_from(&jobs[range.clone()], &report.results);

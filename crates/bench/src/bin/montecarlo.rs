@@ -23,15 +23,12 @@
 use majorcan_analysis::{
     estimate_new_scenario, estimate_old_scenario, p_new_scenario, p_old_scenario,
 };
-use majorcan_bench::cli::{self, CliArgs};
+use majorcan_bench::cli::CliArgs;
 use majorcan_bench::jobs::JobRunner;
 use majorcan_bench::montecarlo::{
     imo_jobs, measurement_from_totals, render_measurement, ErrorDomain,
 };
-use majorcan_campaign::{
-    run_campaign_in_memory_scoped, run_campaign_scoped, DomainSpec, FaultSpec, Job, Manifest,
-    ProtocolSpec, Totals,
-};
+use majorcan_campaign::{DomainSpec, FaultSpec, Job, ProtocolSpec, Totals};
 use majorcan_can::StandardCan;
 use majorcan_core::{MajorCan, MinorCan};
 
@@ -200,30 +197,7 @@ fn main() {
         ErrorDomain::FullFrame,
     );
 
-    let opts = cli.campaign_options();
-    let report = match &cli.out {
-        Some(path) => {
-            let manifest = Manifest::for_jobs("montecarlo", cli.seed, &plan.jobs);
-            let mut sink = cli::open_sink(path, &manifest);
-            run_campaign_scoped(
-                &plan.jobs,
-                &opts,
-                &mut sink,
-                JobRunner::new,
-                |runner, job| runner.run_job(job),
-            )
-            .expect("campaign I/O")
-        }
-        None => run_campaign_in_memory_scoped(&plan.jobs, &opts, JobRunner::new, |runner, job| {
-            runner.run_job(job)
-        }),
-    };
-    if !report.failures.is_empty() {
-        eprintln!(
-            "warning: {} job(s) failed; see the failures artifact",
-            report.failures.len()
-        );
-    }
+    let report = cli.run_campaign("montecarlo", &plan.jobs, JobRunner::new, JobRunner::run_job);
 
     let cell_totals: Vec<Totals> = plan
         .cells

@@ -8,12 +8,10 @@
 //!     [<trials> [n_nodes]] [--seed <u64>] [--jobs <n>] [--out sweep.jsonl]
 //! ```
 
-use majorcan_bench::cli::{self, CliArgs};
+use majorcan_bench::cli::CliArgs;
 use majorcan_bench::jobs::JobRunner;
 use majorcan_bench::sweep::{outcome_from_totals, render_sweep, sweep_jobs, SweepOutcome};
-use majorcan_campaign::{
-    run_campaign_in_memory_scoped, run_campaign_scoped, Job, Manifest, ProtocolSpec, Totals,
-};
+use majorcan_campaign::{Job, ProtocolSpec, Totals};
 
 /// One sweep cell and its slice of the campaign's job-id space.
 struct Cell {
@@ -79,26 +77,7 @@ fn main() {
         }
     }
 
-    let opts = cli.campaign_options();
-    let report = match &cli.out {
-        Some(path) => {
-            let manifest = Manifest::for_jobs("sweep", cli.seed, &jobs);
-            let mut sink = cli::open_sink(path, &manifest);
-            run_campaign_scoped(&jobs, &opts, &mut sink, JobRunner::new, |runner, job| {
-                runner.run_job(job)
-            })
-            .expect("campaign I/O")
-        }
-        None => run_campaign_in_memory_scoped(&jobs, &opts, JobRunner::new, |runner, job| {
-            runner.run_job(job)
-        }),
-    };
-    if !report.failures.is_empty() {
-        eprintln!(
-            "warning: {} job(s) failed; see the failures artifact",
-            report.failures.len()
-        );
-    }
+    let report = cli.run_campaign("sweep", &jobs, JobRunner::new, JobRunner::run_job);
 
     let outcome_of = |cell: &Cell| -> SweepOutcome {
         let mut totals = Totals::default();

@@ -6,7 +6,8 @@
 //! * `--jobs <n>` — worker threads (`0` = one per CPU, the default);
 //! * `--out <path>` — write JSONL results + manifest there and enable
 //!   checkpoint/resume (re-invoking with the same `--out` skips completed
-//!   jobs);
+//!   jobs); [`CliArgs::open_out`] opens that sink, and
+//!   [`CliArgs::run_campaign`] runs a job list through it;
 //! * `--quiet` — suppress the runner's progress lines;
 //! * positional arguments — binary-specific sizes (trial counts, node
 //!   counts), consumed in order via [`CliArgs::positional`].
@@ -17,8 +18,9 @@
 //! fast instead of being swallowed as positionals.
 
 use majorcan_campaign::{
-    merge_ready, merge_shards, run_fleet_worker, CampaignOptions, ChaosMode, FleetManifest,
-    FleetOptions, Job, JobResult, JsonlSink, Manifest, MergeError, ShardOutcome, Totals,
+    merge_ready, merge_shards, run_campaign_scoped, run_fleet_worker, CampaignOptions,
+    CampaignReport, ChaosMode, FleetManifest, FleetOptions, Job, JobResult, JsonlSink, Manifest,
+    MergeError, ProtocolSpec, ShardOutcome, Totals,
 };
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -102,11 +104,19 @@ fn die(msg: &str) -> ! {
     std::process::exit(exit_code::USAGE);
 }
 
-/// Opens the `--out` sink, exiting with a clean CLI error (rather than a
-/// panic) when the artifact belongs to a different campaign or the path is
-/// unwritable.
-pub fn open_sink(path: &Path, manifest: &Manifest) -> JsonlSink {
-    JsonlSink::open(path, manifest).unwrap_or_else(|e| die(&e.to_string()))
+/// Parses a `--targets` value: comma-separated protocol names, blanks
+/// skipped. An unknown name is a usage error.
+pub fn parse_targets(text: &str) -> Vec<ProtocolSpec> {
+    text.split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .map(|t| {
+            ProtocolSpec::from_name(t).unwrap_or_else(|| {
+                eprintln!("error: unknown protocol target {t:?}");
+                std::process::exit(exit_code::USAGE);
+            })
+        })
+        .collect()
 }
 
 impl CliArgs {
@@ -223,6 +233,43 @@ impl CliArgs {
             progress: !self.quiet,
             ..CampaignOptions::default()
         }
+    }
+
+    /// The `--out` sink of the campaign `name` over `jobs`, or `None`
+    /// without `--out`. Exits with a clean CLI error (rather than a panic)
+    /// when the artifact belongs to a different campaign or the path is
+    /// unwritable.
+    pub fn open_out(&self, name: &str, jobs: &[Job]) -> Option<JsonlSink> {
+        self.out.as_ref().map(|path| {
+            let manifest = Manifest::for_jobs(name, self.seed, jobs);
+            JsonlSink::open(path, &manifest).unwrap_or_else(|e| die(&e.to_string()))
+        })
+    }
+
+    /// Runs the campaign `name` over `jobs` with these flags' options and
+    /// `--out` sink, and warns on stderr when jobs failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when writing the `--out` artifact fails.
+    pub fn run_campaign<S>(
+        &self,
+        name: &str,
+        jobs: &[Job],
+        init: impl Fn() -> S + Sync,
+        run_job: impl Fn(&mut S, &Job) -> JobResult + Sync,
+    ) -> CampaignReport {
+        let mut sink = self.open_out(name, jobs);
+        let report =
+            run_campaign_scoped(jobs, &self.campaign_options(), sink.as_mut(), init, run_job)
+                .expect("campaign I/O");
+        if !report.failures.is_empty() {
+            eprintln!(
+                "warning: {} job(s) failed; see the failures artifact",
+                report.failures.len()
+            );
+        }
+        report
     }
 }
 

@@ -19,8 +19,7 @@ use majorcan_campaign::{
     run_campaign_in_memory_scoped, CampaignOptions, FaultSpec, Job, ProtocolSpec, Totals,
     WorkloadSpec,
 };
-use majorcan_can::{Field, StandardCan, Variant};
-use majorcan_core::{MajorCan, MinorCan};
+use majorcan_can::{Field, Variant};
 use majorcan_faults::Disturbance;
 use rand::Rng;
 use std::fmt::Write as _;
@@ -154,17 +153,6 @@ pub fn sweep<V: Variant>(
     outcome_from_totals(variant.name(), errors_per_frame, &report.totals)
 }
 
-/// The full sweep table: every protocol × error budget.
-pub fn sweep_table(n_nodes: usize, trials: usize, seed: u64) -> Vec<SweepOutcome> {
-    let mut rows = Vec::new();
-    for errors in 1..=5usize {
-        rows.push(sweep(&StandardCan, n_nodes, errors, trials, seed));
-        rows.push(sweep(&MinorCan, n_nodes, errors, trials, seed));
-        rows.push(sweep(&MajorCan::proposed(), n_nodes, errors, trials, seed));
-    }
-    rows
-}
-
 /// Renders the sweep as the experiment's summary table.
 pub fn render_sweep(rows: &[SweepOutcome]) -> String {
     let mut out = String::new();
@@ -196,6 +184,8 @@ pub fn render_sweep(rows: &[SweepOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use majorcan_can::StandardCan;
+    use majorcan_core::{MajorCan, MinorCan};
 
     const TRIALS: usize = if cfg!(debug_assertions) { 60 } else { 250 };
 

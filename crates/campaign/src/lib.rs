@@ -12,20 +12,21 @@
 //! * **Durability** — results stream into a JSONL file ([`JsonlSink`]),
 //!   one flushed line per job, guarded by a [`Manifest`]. Re-running the
 //!   same campaign resumes: completed job ids are skipped.
-//! * **Robustness** — a panicking job is caught ([`run_campaign`] uses
-//!   `catch_unwind`), recorded in a failures artifact with its replay
-//!   seed, and the campaign continues.
+//! * **Robustness** — a panicking job is caught ([`run_campaign_scoped`]
+//!   uses `catch_unwind`), recorded in a failures artifact with its
+//!   replay seed, and the campaign continues.
 //! * **Observability** — periodic progress lines (jobs done, jobs/sec,
 //!   simulated bits/sec, ETA) and per-worker [`WorkerStats`].
 //!
 //! The crate knows nothing about how jobs execute: callers hand
-//! [`run_campaign`] a `Fn(&Job) -> JobResult` (see `majorcan-bench`'s job
+//! [`run_campaign_scoped`] a per-worker state builder and a
+//! `Fn(&mut S, &Job) -> JobResult` (see `majorcan-bench`'s job
 //! interpreter for the canonical one).
 //!
 //! ```
 //! use majorcan_campaign::{
 //!     CampaignOptions, Job, JobResult, JsonlSink, Manifest, ProtocolSpec,
-//!     FaultSpec, WorkloadSpec, run_campaign,
+//!     FaultSpec, WorkloadSpec, run_campaign_scoped,
 //! };
 //!
 //! let jobs: Vec<Job> = (0..4)
@@ -41,7 +42,8 @@
 //! let _ = std::fs::remove_file(dir.join("results.jsonl.manifest.json"));
 //! let manifest = Manifest::for_jobs("doc", 42, &jobs);
 //! let mut sink = JsonlSink::open(&out, &manifest).unwrap();
-//! let report = run_campaign(&jobs, &CampaignOptions::quiet(2), &mut sink, |job| {
+//! let opts = CampaignOptions::quiet(2);
+//! let report = run_campaign_scoped(&jobs, &opts, Some(&mut sink), || (), |(), job| {
 //!     let mut r = JobResult::for_job(job);
 //!     r.frames = job.frames;
 //!     r.counters.add("ok", job.frames);
@@ -67,8 +69,8 @@ pub use job::{
     JobResult, ProtocolSpec, Totals, WorkloadSpec,
 };
 pub use runner::{
-    map_ordered, run_campaign, run_campaign_in_memory, run_campaign_in_memory_scoped,
-    run_campaign_scoped, CampaignOptions, CampaignReport, WorkerStats,
+    map_ordered, run_campaign_in_memory_scoped, run_campaign_scoped, CampaignOptions,
+    CampaignReport, WorkerStats,
 };
 pub use shard::{
     campaign_anchor, merge_ready, merge_shards, run_fleet_worker, shard_of, ChaosMode,

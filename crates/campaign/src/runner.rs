@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Knobs for [`run_campaign`].
+/// Knobs for [`run_campaign_scoped`].
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Worker threads. `0` means "one per available CPU".
@@ -181,25 +181,8 @@ impl Progress {
     }
 }
 
-/// Runs an ephemeral campaign with no durable artifact: no JSONL file, no
-/// manifest, no resume. Library entry points (`measure_imo_rate`-style
-/// one-shot measurements) use this; the result is identical to a sink-backed
-/// run of the same jobs.
-pub fn run_campaign_in_memory<F>(jobs: &[Job], opts: &CampaignOptions, run_job: F) -> CampaignReport
-where
-    F: Fn(&Job) -> JobResult + Sync,
-{
-    run_campaign_impl(jobs, opts, None, || (), |(), job| run_job(job))
-        .expect("in-memory campaigns cannot fail on I/O")
-}
-
-/// Like [`run_campaign_in_memory`], but each worker thread owns a reusable
-/// state `S` built by `init` — typically a testbed whose allocations are
-/// recycled across every job the worker executes. The determinism contract
-/// is unchanged: state reuse must not leak information between jobs (the
-/// state is an allocation cache, not a data channel), and after a job
-/// panics the worker's state is rebuilt from `init` so a poisoned state
-/// can't corrupt later jobs.
+/// [`run_campaign_scoped`] without a sink, for callers that keep no
+/// artifact.
 pub fn run_campaign_in_memory_scoped<S, I, F>(
     jobs: &[Job],
     opts: &CampaignOptions,
@@ -210,52 +193,8 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &Job) -> JobResult + Sync,
 {
-    run_campaign_impl(jobs, opts, None, init, run_job)
+    run_campaign_scoped(jobs, opts, None, init, run_job)
         .expect("in-memory campaigns cannot fail on I/O")
-}
-
-/// Like [`run_campaign`], but with per-worker reusable state (see
-/// [`run_campaign_in_memory_scoped`]).
-///
-/// # Errors
-///
-/// Only sink I/O errors abort a campaign; job panics never do.
-pub fn run_campaign_scoped<S, I, F>(
-    jobs: &[Job],
-    opts: &CampaignOptions,
-    sink: &mut JsonlSink,
-    init: I,
-    run_job: F,
-) -> io::Result<CampaignReport>
-where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &Job) -> JobResult + Sync,
-{
-    run_campaign_impl(jobs, opts, Some(sink), init, run_job)
-}
-
-/// Runs `jobs` through `run_job` on a worker pool, streaming results into
-/// `sink`.
-///
-/// Jobs whose ids the sink already holds are skipped (resume). A panicking
-/// job is caught, written to the failures artifact with its replay seed,
-/// and the campaign continues. The returned report's `results` are sorted
-/// by job id and include resumed results, so callers always see the full
-/// campaign regardless of where the previous run stopped.
-///
-/// # Errors
-///
-/// Only sink I/O errors abort a campaign; job panics never do.
-pub fn run_campaign<F>(
-    jobs: &[Job],
-    opts: &CampaignOptions,
-    sink: &mut JsonlSink,
-    run_job: F,
-) -> io::Result<CampaignReport>
-where
-    F: Fn(&Job) -> JobResult + Sync,
-{
-    run_campaign_impl(jobs, opts, Some(sink), || (), |(), job| run_job(job))
 }
 
 /// Maps `f` over `items` on the campaign's worker pool and returns the
@@ -302,7 +241,28 @@ where
         .collect()
 }
 
-fn run_campaign_impl<S, I, F>(
+/// Runs `jobs` through `run_job` on a worker pool, streaming results into
+/// `sink` when there is one; without one the campaign keeps no durable
+/// artifact (no JSONL file, no manifest, no resume) and its report is
+/// identical to a sink-backed run of the same jobs.
+///
+/// Each worker thread owns a reusable state `S` built by `init` —
+/// typically a testbed whose allocations are recycled across every job
+/// the worker executes; stateless callers pass `|| ()`. State reuse must
+/// not leak information between jobs (the state is an allocation cache,
+/// not a data channel), and after a job panics the worker's state is
+/// rebuilt from `init` so a poisoned state can't corrupt later jobs.
+///
+/// Jobs whose ids the sink already holds are skipped (resume). A panicking
+/// job is caught, written to the failures artifact with its replay seed,
+/// and the campaign continues. The returned report's `results` are sorted
+/// by job id and include resumed results, so callers always see the full
+/// campaign regardless of where the previous run stopped.
+///
+/// # Errors
+///
+/// Only sink I/O errors abort a campaign; job panics never do.
+pub fn run_campaign_scoped<S, I, F>(
     jobs: &[Job],
     opts: &CampaignOptions,
     mut sink: Option<&mut JsonlSink>,

@@ -768,12 +768,12 @@ where
             .cloned()
             .collect();
         let half: Vec<Job> = pending.iter().take(pending.len() / 2).cloned().collect();
-        run_campaign_scoped(&half, &campaign_opts, &mut sink, init, run_job)?;
+        run_campaign_scoped(&half, &campaign_opts, Some(&mut sink), init, run_job)?;
         eprintln!("chaos: aborting mid-shard {k} after {} jobs", half.len());
         std::process::abort();
     }
 
-    let report = run_campaign_scoped(&my_jobs, &campaign_opts, &mut sink, init, run_job)?;
+    let report = run_campaign_scoped(&my_jobs, &campaign_opts, Some(&mut sink), init, run_job)?;
 
     if chaos == Some(ChaosMode::Truncate) {
         // Die mid-append: chop the artifact inside its final line, then

@@ -3,8 +3,8 @@
 //! and panic containment — plus the input order of `map_ordered`.
 
 use majorcan_campaign::{
-    map_ordered, run_campaign, CampaignOptions, FaultSpec, Job, JobResult, JsonlSink, Manifest,
-    ProtocolSpec, WorkloadSpec,
+    map_ordered, run_campaign_scoped, CampaignOptions, FaultSpec, Job, JobResult, JsonlSink,
+    Manifest, ProtocolSpec, WorkloadSpec,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,8 +63,14 @@ fn worker_count_does_not_change_the_artifact() {
     for workers in [1usize, 2, 8] {
         let out = dir.join(format!("w{workers}.jsonl"));
         let mut sink = JsonlSink::open(&out, &manifest).unwrap();
-        let report =
-            run_campaign(&js, &CampaignOptions::quiet(workers), &mut sink, synthetic).unwrap();
+        let report = run_campaign_scoped(
+            &js,
+            &CampaignOptions::quiet(workers),
+            Some(&mut sink),
+            || (),
+            |(), job| synthetic(job),
+        )
+        .unwrap();
         assert_eq!(report.totals.jobs, 40);
         assert_eq!(report.skipped, 0);
         assert!(report.failures.is_empty());
@@ -92,14 +98,28 @@ fn resume_skips_completed_jobs_and_converges() {
     let reference = dir.join("reference.jsonl");
     {
         let mut sink = JsonlSink::open(&reference, &manifest).unwrap();
-        run_campaign(&js, &CampaignOptions::quiet(2), &mut sink, synthetic).unwrap();
+        run_campaign_scoped(
+            &js,
+            &CampaignOptions::quiet(2),
+            Some(&mut sink),
+            || (),
+            |(), job| synthetic(job),
+        )
+        .unwrap();
     }
 
     // "Killed" run: only the first 11 jobs made it to disk.
     let out = dir.join("killed.jsonl");
     {
         let mut sink = JsonlSink::open(&out, &manifest).unwrap();
-        run_campaign(&js[..11], &CampaignOptions::quiet(2), &mut sink, synthetic).unwrap();
+        run_campaign_scoped(
+            &js[..11],
+            &CampaignOptions::quiet(2),
+            Some(&mut sink),
+            || (),
+            |(), job| synthetic(job),
+        )
+        .unwrap();
     }
 
     // Resume: the executor must never see an already-completed job.
@@ -107,11 +127,17 @@ fn resume_skips_completed_jobs_and_converges() {
     {
         let mut sink = JsonlSink::open(&out, &manifest).unwrap();
         assert_eq!(sink.completed().len(), 11);
-        let report = run_campaign(&js, &CampaignOptions::quiet(4), &mut sink, |job| {
-            executions.fetch_add(1, Ordering::Relaxed);
-            assert!(job.id >= 11, "job {} recomputed after resume", job.id);
-            synthetic(job)
-        })
+        let report = run_campaign_scoped(
+            &js,
+            &CampaignOptions::quiet(4),
+            Some(&mut sink),
+            || (),
+            |(), job| {
+                executions.fetch_add(1, Ordering::Relaxed);
+                assert!(job.id >= 11, "job {} recomputed after resume", job.id);
+                synthetic(job)
+            },
+        )
         .unwrap();
         assert_eq!(report.skipped, 11);
         assert_eq!(report.totals.jobs, 30);
@@ -128,12 +154,18 @@ fn panicking_job_is_recorded_and_campaign_continues() {
     let manifest = Manifest::for_jobs("panic", 3, &js);
     let out = dir.join("results.jsonl");
     let mut sink = JsonlSink::open(&out, &manifest).unwrap();
-    let report = run_campaign(&js, &CampaignOptions::quiet(3), &mut sink, |job| {
-        if job.id == 5 {
-            panic!("injected failure in job {}", job.id);
-        }
-        synthetic(job)
-    })
+    let report = run_campaign_scoped(
+        &js,
+        &CampaignOptions::quiet(3),
+        Some(&mut sink),
+        || (),
+        |(), job| {
+            if job.id == 5 {
+                panic!("injected failure in job {}", job.id);
+            }
+            synthetic(job)
+        },
+    )
     .unwrap();
 
     assert_eq!(report.failures.len(), 1);
@@ -163,7 +195,14 @@ fn panicking_job_is_recorded_and_campaign_continues() {
     // A rerun retries the failed job (it is not marked completed) and,
     // with a healthy executor, completes the campaign.
     let mut sink = JsonlSink::open(&out, &manifest).unwrap();
-    let report = run_campaign(&js, &CampaignOptions::quiet(3), &mut sink, synthetic).unwrap();
+    let report = run_campaign_scoped(
+        &js,
+        &CampaignOptions::quiet(3),
+        Some(&mut sink),
+        || (),
+        |(), job| synthetic(job),
+    )
+    .unwrap();
     assert_eq!(report.skipped, 11);
     assert_eq!(report.totals.jobs, 12);
     assert!(report.failures.is_empty());

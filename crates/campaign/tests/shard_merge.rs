@@ -10,7 +10,7 @@
 //! simulated directly on the artifacts.
 
 use majorcan_campaign::{
-    merge_ready, merge_shards, run_campaign, run_fleet_worker, shard_of, CampaignOptions,
+    merge_ready, merge_shards, run_campaign_scoped, run_fleet_worker, shard_of, CampaignOptions,
     ChaosMode, FaultSpec, FleetOptions, Job, JobResult, JsonlSink, Manifest, MergeError,
     ProtocolSpec, ShardOutcome, WorkloadSpec,
 };
@@ -108,7 +108,14 @@ fn merged_artifact_is_byte_identical_to_single_process_for_any_shard_count() {
     let base_dir = tmp_dir("baseline");
     let base = base_dir.join("results.jsonl");
     let mut sink = JsonlSink::open(&base, &manifest).unwrap();
-    run_campaign(&all, &CampaignOptions::quiet(3), &mut sink, synthetic).unwrap();
+    run_campaign_scoped(
+        &all,
+        &CampaignOptions::quiet(3),
+        Some(&mut sink),
+        || (),
+        |(), job| synthetic(job),
+    )
+    .unwrap();
     drop(sink);
     let baseline = sorted_lines(&base);
 

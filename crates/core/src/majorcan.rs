@@ -128,11 +128,6 @@ impl MajorCan {
         self.m
     }
 
-    /// Number of bits in each of the two EOF sub-fields (`m`).
-    pub fn subfield_len(&self) -> usize {
-        self.m
-    }
-
     /// Worst-case per-frame overhead versus standard CAN, in bits:
     /// `4m − 9` (the paper's Section 6 headline formula).
     pub fn worst_case_overhead_bits(&self) -> isize {

@@ -21,16 +21,18 @@
 //! [`AttackCorpusEntry`] files carrying cost and strategy in provenance —
 //! cheapest-attack certificates, replayed by CI like the benign corpus.
 
+use crate::corpus::{read_entries, write_entries, Provenance};
+use crate::oracle::OracleCore;
+use crate::schedule::write_joined;
 use majorcan_abcast::Verdict;
-use majorcan_campaign::json::{parse, Value};
+use majorcan_campaign::json::Value;
+use majorcan_campaign::shard::result_line_hash;
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::{CanEvent, Field};
 use majorcan_faults::{AttackAction, Attacker, Strategy};
-use majorcan_testbed::{Outcome, Testbed};
-use std::collections::HashMap;
+use majorcan_testbed::{Outcome, Testbed, TestbedBuilder};
 use std::fmt;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// Bit budget for one attack evaluation: long enough for a sustained
@@ -128,27 +130,13 @@ impl AttackSchedule {
     /// FNV-1a hash of [`AttackSchedule::key`] — stable across runs and
     /// platforms, used in corpus file names.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in self.key().bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        result_line_hash(&self.key())
     }
 }
 
 impl fmt::Display for AttackSchedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.actions.is_empty() {
-            return f.write_str("(empty attack)");
-        }
-        for (i, a) in self.actions.iter().enumerate() {
-            if i > 0 {
-                f.write_str("; ")?;
-            }
-            write!(f, "{a}")?;
-        }
-        Ok(())
+        write_joined(f, &self.actions, "(empty attack)")
     }
 }
 
@@ -281,16 +269,6 @@ impl fmt::Display for AttackOutcome {
     }
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Folds a benign run classification and a scan of the event log into an
 /// [`AttackOutcome`]. Bus-off outranks a property violation: a schedule
 /// that disconnects a node *and* breaks a property certifies the bus-off
@@ -302,29 +280,49 @@ fn classify_attack(outcome: Outcome, bus_off_node: Option<usize>) -> AttackOutco
         (Some(node), _) => AttackOutcome::VictimBusOff { node },
         (None, Outcome::Violation(v)) => AttackOutcome::Violation(v),
         (None, Outcome::Vacuous { unfired }) => AttackOutcome::Vacuous { unfired },
-        // `run_attack` grades the full budget without the truncation
-        // demotion, so this arm is dormant — but were it ever reached, a
-        // truncated run certifies nothing, exactly like a vacuous one.
+        // A run the budget cut on a busy bus certifies nothing, exactly
+        // like a vacuous one.
         (None, Outcome::Truncated { unfired }) => AttackOutcome::Vacuous { unfired },
         (None, Outcome::Consistent) => AttackOutcome::Survived,
     }
 }
 
-/// A reusable attack evaluator with a cached testbed (the attack twin of
-/// [`Oracle`](crate::Oracle)).
+/// The attack oracle's testbed: a budget long enough for the bus-off
+/// walk, and the warning-shutoff policy **off** so that walk is
+/// reachable.
+fn attack_settings(builder: TestbedBuilder) -> TestbedBuilder {
+    builder.budget(ATTACK_BUDGET).shutoff_at_warning(false)
+}
+
+/// The attack oracle's run: `actions` armed, the run graded, and the
+/// event log scanned for [`CanEvent::WentBusOff`].
+fn attacked(actions: &[AttackAction]) -> impl FnOnce(&mut Testbed) -> AttackOutcome + '_ {
+    move |testbed| {
+        // The cost budget equals the schedule's nominal cost: the attacker
+        // is granted exactly what the schedule claims to spend, so a
+        // schedule cannot outspend its own certificate.
+        let cost_budget = actions.iter().map(AttackAction::cost).sum();
+        let outcome = testbed.run_attack(actions, cost_budget);
+        let bus_off = testbed
+            .can_events()
+            .iter()
+            .find(|e| matches!(e.event, CanEvent::WentBusOff))
+            .map(|e| e.node.index());
+        classify_attack(outcome, bus_off)
+    }
+}
+
+/// A reusable attack evaluator with a cached testbed: the
+/// [`Oracle`](crate::Oracle)'s core, building its clusters with the
+/// warning shutoff off and running attacks instead of schedules.
 ///
-/// Clusters are built with the warning-shutoff policy **off** so the
-/// fault-confinement walk to bus-off is reachable, and evaluation scans
-/// the event log for [`CanEvent::WentBusOff`] after grading the run.
 /// Attack targets are link-layer protocols only: attacks address frame
 /// positions of the CAN format itself. The verdicts
 /// [`AttackOracle::judge`] records belong to the cached testbed and go
 /// with it.
 #[derive(Debug, Default)]
 pub struct AttackOracle {
-    cached: Option<((ProtocolSpec, usize), Testbed)>,
-    memo: HashMap<Vec<AttackAction>, AttackOutcome>,
-    judge_runs: usize,
+    core: OracleCore<Vec<AttackAction>, AttackOutcome>,
 }
 
 impl AttackOracle {
@@ -333,35 +331,34 @@ impl AttackOracle {
         AttackOracle::default()
     }
 
-    /// As [`AttackOracle::evaluate`], but an action list this oracle
-    /// already judged on the cached testbed is not run again: the recorded
-    /// verdict comes back instead. The attack shrinker judges every run,
-    /// because the findings of one target converge on the same minima. The
-    /// memo is cleared whenever the cached testbed is rebuilt, and an
-    /// [`AttackOutcome::Panic`] is never recorded.
+    /// As [`AttackOracle::evaluate`] on the schedule `actions`, but an
+    /// action list this oracle already judged on the cached testbed is
+    /// not run again: the recorded verdict comes back instead. The attack
+    /// shrinker judges every run, because the findings of one target
+    /// converge on the same minima. The memo is cleared whenever the
+    /// cached testbed is rebuilt, and an [`AttackOutcome::Panic`] is
+    /// never recorded.
     pub fn judge(
         &mut self,
         target: ProtocolSpec,
-        schedule: &AttackSchedule,
+        actions: &[AttackAction],
         n_nodes: usize,
     ) -> AttackOutcome {
-        if self.cached.as_ref().map(|(k, _)| *k) == Some((target, n_nodes)) {
-            if let Some(outcome) = self.memo.get(schedule.actions()) {
-                return outcome.clone();
-            }
-        }
-        self.judge_runs += 1;
-        let outcome = self.evaluate(target, schedule, n_nodes);
-        if !matches!(outcome, AttackOutcome::Panic(_)) {
-            self.memo.insert(schedule.to_vec(), outcome.clone());
-        }
-        outcome
+        self.core
+            .judge(
+                target,
+                n_nodes,
+                attack_settings,
+                actions.to_vec(),
+                attacked(actions),
+            )
+            .unwrap_or_else(AttackOutcome::Panic)
     }
 
     /// Simulator runs [`AttackOracle::judge`] has made over this oracle's
     /// life: the judgements its memo could not answer.
     pub(crate) fn judge_runs(&self) -> usize {
-        self.judge_runs
+        self.core.judge_runs()
     }
 
     /// Evaluates `schedule` against `target` and classifies the run.
@@ -373,43 +370,14 @@ impl AttackOracle {
         schedule: &AttackSchedule,
         n_nodes: usize,
     ) -> AttackOutcome {
-        let key = (target, n_nodes);
-        if self.cached.as_ref().map(|(k, _)| *k) != Some(key) {
-            self.cached = None; // drop the old cluster before building
-            self.memo.clear();
-            let built = catch_unwind(AssertUnwindSafe(|| {
-                Testbed::builder(target)
-                    .nodes(n_nodes)
-                    .budget(ATTACK_BUDGET)
-                    .shutoff_at_warning(false)
-                    .build()
-            }));
-            match built {
-                Ok(testbed) => self.cached = Some((key, testbed)),
-                Err(payload) => return AttackOutcome::Panic(panic_text(payload)),
-            }
-        }
-        let (_, testbed) = self.cached.as_mut().expect("testbed cached above");
-        // The cost budget equals the schedule's nominal cost: the attacker
-        // is granted exactly what the schedule claims to spend, so a
-        // schedule cannot outspend its own certificate.
-        let cost_budget = schedule.cost();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let outcome = testbed.run_attack(schedule.actions(), cost_budget);
-            let bus_off = testbed
-                .can_events()
-                .iter()
-                .find(|e| matches!(e.event, CanEvent::WentBusOff))
-                .map(|e| e.node.index());
-            (outcome, bus_off)
-        }));
-        match run {
-            Ok((outcome, bus_off)) => classify_attack(outcome, bus_off),
-            Err(payload) => {
-                self.cached = None;
-                AttackOutcome::Panic(panic_text(payload))
-            }
-        }
+        self.core
+            .run(
+                target,
+                n_nodes,
+                attack_settings,
+                attacked(schedule.actions()),
+            )
+            .unwrap_or_else(AttackOutcome::Panic)
     }
 }
 
@@ -427,11 +395,7 @@ pub fn evaluate_attack(
 /// cost alongside the runtime charge after `bits` of a canonical run —
 /// used by tests asserting the certificate cost is honest.
 pub fn runtime_spend(target: ProtocolSpec, schedule: &AttackSchedule, n_nodes: usize) -> u64 {
-    let mut testbed = Testbed::builder(target)
-        .nodes(n_nodes)
-        .budget(ATTACK_BUDGET)
-        .shutoff_at_warning(false)
-        .build();
+    let mut testbed = attack_settings(Testbed::builder(target).nodes(n_nodes)).build();
     testbed.run_attack(schedule.actions(), schedule.cost());
     testbed
         .attacker()
@@ -489,12 +453,15 @@ impl AttackCorpusEntry {
     /// attack entries from parsing as benign corpus entries (and vice
     /// versa); the `pretty` array is ignored on load.
     pub fn to_json(&self) -> Value {
-        let mut prov = Value::obj();
-        prov.set("campaign_seed", Value::U64(self.provenance.campaign_seed))
-            .set("job_id", Value::U64(self.provenance.job_id))
-            .set("trial", Value::U64(self.provenance.trial))
-            .set("strategy", Value::Str(self.provenance.strategy.clone()))
-            .set("cost", Value::U64(self.provenance.cost));
+        let p = &self.provenance;
+        let mut prov = Provenance {
+            campaign_seed: p.campaign_seed,
+            job_id: p.job_id,
+            trial: p.trial,
+        }
+        .to_json();
+        prov.set("strategy", Value::Str(p.strategy.clone()))
+            .set("cost", Value::U64(p.cost));
         let mut v = Value::obj();
         v.set("kind", Value::Str("attack".to_string()))
             .set("protocol", Value::Str(self.protocol.to_string()))
@@ -521,15 +488,20 @@ impl AttackCorpusEntry {
             return None;
         }
         let prov = v.get("provenance")?;
+        let Provenance {
+            campaign_seed,
+            job_id,
+            trial,
+        } = Provenance::from_json(prov)?;
         Some(AttackCorpusEntry {
             protocol: ProtocolSpec::from_name(v.get("protocol")?.as_str()?)?,
             n_nodes: v.get("n_nodes")?.as_u64()? as usize,
             expected: v.get("expected")?.as_str()?.to_string(),
             schedule: AttackSchedule::from_json(v.get("attack")?)?,
             provenance: AttackProvenance {
-                campaign_seed: prov.get("campaign_seed")?.as_u64()?,
-                job_id: prov.get("job_id")?.as_u64()?,
-                trial: prov.get("trial")?.as_u64()?,
+                campaign_seed,
+                job_id,
+                trial,
                 strategy: prov.get("strategy")?.as_str()?.to_string(),
                 cost: prov.get("cost")?.as_u64()?,
             },
@@ -545,48 +517,13 @@ impl AttackCorpusEntry {
 /// Writes `entries` into `dir` (created if missing), one file each, and
 /// returns the paths written.
 pub fn write_attack_corpus(dir: &Path, entries: &[AttackCorpusEntry]) -> io::Result<Vec<PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    entries
-        .iter()
-        .map(|entry| {
-            let path = dir.join(entry.file_name());
-            std::fs::write(&path, format!("{}\n", entry.to_json()))?;
-            Ok(path)
-        })
-        .collect()
+    write_entries(dir, entries.iter().map(|e| (e.file_name(), e.to_json())))
 }
 
-/// Loads every `*.json` attack entry in `dir`, sorted by file name.
-/// Returns an empty list if `dir` does not exist (a repo with no archived
-/// attacks yet is not an error).
+/// Loads every `*.json` attack entry in `dir`, sorted by file name. A
+/// missing `dir` is an error, as for [`load_corpus`](crate::load_corpus).
 pub fn load_attack_corpus(dir: &Path) -> io::Result<Vec<AttackCorpusEntry>> {
-    if !dir.exists() {
-        return Ok(Vec::new());
-    }
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    paths.sort();
-    paths
-        .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path)?;
-            let value = parse(&text).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: {e}", path.display()),
-                )
-            })?;
-            AttackCorpusEntry::from_json(&value).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}: not an attack corpus entry", path.display()),
-                )
-            })
-        })
-        .collect()
+    read_entries(dir, "an attack corpus entry", AttackCorpusEntry::from_json)
 }
 
 /// The repository's checked-in attack corpus directory
@@ -599,6 +536,7 @@ pub fn repo_attack_corpus_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use majorcan_campaign::json::parse;
 
     fn busoff_schedule(reps: u32) -> AttackSchedule {
         AttackSchedule::from_strategy(&Strategy::BusOffAttack { victim: 0, reps })
@@ -755,7 +693,7 @@ mod tests {
         ] {
             for s in &schedules {
                 assert_eq!(
-                    oracle.judge(target, s, 3),
+                    oracle.judge(target, s.actions(), 3),
                     evaluate_attack(target, s, 3),
                     "{target}: {s}"
                 );
@@ -767,7 +705,7 @@ mod tests {
             "each target switch forgets the memo"
         );
         for s in &schedules {
-            oracle.judge(ProtocolSpec::StandardCan, s, 3);
+            oracle.judge(ProtocolSpec::StandardCan, s.actions(), 3);
         }
         assert_eq!(oracle.judge_runs(), 9, "repeats are answered by the memo");
     }
@@ -776,12 +714,12 @@ mod tests {
     fn attack_judge_never_records_a_panic_and_recovers() {
         let mut oracle = AttackOracle::new();
         for _ in 0..2 {
-            let bad = oracle.judge(ProtocolSpec::MajorCan { m: 2 }, &fig1b_attack(), 3);
+            let bad = oracle.judge(ProtocolSpec::MajorCan { m: 2 }, fig1b_attack().actions(), 3);
             assert_eq!(bad.token(), "panic", "{bad}");
         }
         assert_eq!(oracle.judge_runs(), 2, "a panic verdict is never recorded");
         assert_eq!(
-            oracle.judge(ProtocolSpec::StandardCan, &fig1b_attack(), 3),
+            oracle.judge(ProtocolSpec::StandardCan, fig1b_attack().actions(), 3),
             AttackOutcome::Violation(Verdict::DoubleReception)
         );
     }
@@ -831,13 +769,13 @@ mod tests {
     }
 
     #[test]
-    fn attack_corpus_directory_round_trips_and_tolerates_absence() {
+    fn attack_corpus_directory_round_trips_and_must_exist() {
         let dir = std::env::temp_dir().join(format!(
             "majorcan-falsify-attack-corpus-{}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(load_attack_corpus(&dir).unwrap().is_empty());
+        assert!(load_attack_corpus(&dir).is_err());
         let entry = AttackCorpusEntry {
             protocol: ProtocolSpec::MinorCan,
             n_nodes: 3,

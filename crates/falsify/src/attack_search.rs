@@ -1,10 +1,11 @@
 //! The cost-aware attack search: synthesize budgeted attack schedules,
 //! hunt breaks, shrink findings to their **cheapest** form.
 //!
-//! Mirrors the benign search ([`run_search`](crate::run_search)) on the
-//! deterministic campaign runner — trial `t` of job `j` derives its RNG
+//! The benign search's machinery ([`run_search`](crate::run_search)),
+//! run on attacks: the same job-list builder, oracle core, shrink passes,
+//! shrink phase and corpus writer. Trial `t` of job `j` derives its RNG
 //! from `(campaign seed, j, t)`, so the explored attack space is
-//! bit-identical for any `--jobs` worker count — but differs in what it
+//! bit-identical for any `--jobs` worker count. What differs is what it
 //! optimizes: the shrinker minimizes the schedule's nominal **cost** (not
 //! just its action count), and the archive keeps the *cheapest* minima
 //! per `(target, outcome)` class. Every archived entry is a
@@ -15,11 +16,12 @@ use crate::attack::{
     AttackCorpusEntry, AttackOracle, AttackOutcome, AttackProvenance, AttackSchedule, ATTACK_BUDGET,
 };
 use crate::generator::{seed_schedules, tail_disturbance, Geometry};
+use crate::search::{explored_for, findings_for, jobs_for};
+use crate::shrink::Shrinker;
 use crate::shrink_phase::{cap_per_class, shrink_phase, RawFinding, ShrinkPhase, ShrinkResult};
-use majorcan_bench::jobs::chunked_frames;
 use majorcan_campaign::{
-    derive_trial_seed, run_campaign_in_memory_scoped, run_campaign_scoped, CampaignOptions,
-    FaultSpec, Job, JobResult, JsonlSink, ProtocolSpec, Totals, WorkloadSpec,
+    derive_trial_seed, run_campaign_scoped, CampaignOptions, FaultSpec, Job, JobResult, JsonlSink,
+    ProtocolSpec, Totals,
 };
 use majorcan_faults::{AttackAction, Disturbance, Strategy};
 use rand::rngs::StdRng;
@@ -130,19 +132,13 @@ pub struct AttackSearchReport {
 impl AttackSearchReport {
     /// Number of deduplicated raw findings against `target`.
     pub fn findings_for(&self, target: ProtocolSpec) -> usize {
-        self.findings.iter().filter(|f| f.target == target).count()
+        findings_for(&self.findings, target)
     }
 
     /// The explored-schedule count for `target` (sum of its outcome
     /// counters).
     pub fn explored_for(&self, target: ProtocolSpec) -> u64 {
-        let prefix = format!("attack/{target}/");
-        self.totals
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(&prefix))
-            .map(|(_, v)| v)
-            .sum()
+        explored_for(&self.totals, "attack", target)
     }
 
     /// The cheapest archived certificate for `target` in outcome class
@@ -164,27 +160,19 @@ impl AttackSearchReport {
 /// Panics on a higher-level-protocol target: attacks address frame
 /// positions of the CAN link format itself.
 pub fn build_attack_jobs(cfg: &AttackSearchConfig) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for &target in &cfg.targets {
-        assert!(
-            !target.is_hlp(),
-            "attack search targets link-layer protocols, got {target}"
-        );
-        for chunk in chunked_frames(cfg.attacks_per_target, ATTACKS_PER_JOB) {
-            jobs.push(Job::new(
-                jobs.len() as u64,
-                cfg.campaign_seed,
-                target,
-                FaultSpec::AttackSearch {
-                    max_cost: cfg.max_cost,
-                },
-                WorkloadSpec::SingleBroadcast,
-                cfg.n_nodes,
-                chunk,
-            ));
-        }
+    if let Some(target) = cfg.targets.iter().find(|t| t.is_hlp()) {
+        panic!("attack search targets link-layer protocols, got {target}");
     }
-    jobs
+    jobs_for(
+        cfg.campaign_seed,
+        &cfg.targets,
+        cfg.n_nodes,
+        cfg.attacks_per_target,
+        ATTACKS_PER_JOB,
+        FaultSpec::AttackSearch {
+            max_cost: cfg.max_cost,
+        },
+    )
 }
 
 fn pulse_of(d: &Disturbance) -> AttackAction {
@@ -310,31 +298,16 @@ impl ShrinkResult for ShrunkAttack {
     }
 }
 
-fn preserves(
-    oracle: &mut AttackOracle,
-    target: ProtocolSpec,
-    candidate: &AttackSchedule,
-    n_nodes: usize,
-    token: &str,
-    evaluations: &mut usize,
-) -> bool {
-    if *evaluations >= MAX_ATTACK_EVALUATIONS {
-        return false;
-    }
-    *evaluations += 1;
-    oracle.judge(target, candidate, n_nodes).token() == token
-}
-
-/// Rewrites the scalar cost knob of action `i` (hammer reps / flood
-/// length), returning `None` for actions without one below `current`.
-fn with_scalar(schedule: &AttackSchedule, i: usize, value: u64) -> AttackSchedule {
-    let mut actions = schedule.to_vec();
+/// `actions` with the scalar cost knob of action `i` (hammer reps /
+/// flood length) set to `value`.
+fn with_scalar(actions: &[AttackAction], i: usize, value: u64) -> Vec<AttackAction> {
+    let mut actions = actions.to_vec();
     match &mut actions[i] {
         AttackAction::Flood { len, .. } => *len = value,
         AttackAction::Hammer { reps, .. } => *reps = value as u32,
         AttackAction::Pulse { .. } => unreachable!("pulses have no scalar"),
     }
-    AttackSchedule::new(actions)
+    actions
 }
 
 fn scalar_of(action: &AttackAction) -> Option<u64> {
@@ -349,11 +322,12 @@ fn scalar_of(action: &AttackAction) -> Option<u64> {
 /// minimizing **cost**: pass 1 drops whole actions to a fixpoint, pass 2
 /// minimizes each action's scalar cost (binary descent on hammer reps and
 /// flood lengths, occurrence normalization on pulses), pass 3 puts the
-/// survivors in canonical order. Every run is judged through the
-/// caller's oracle ([`AttackOracle::judge`]), so the testbed cache and the
-/// verdict memo carry across shrinks of one target; the minimum and
-/// [`ShrunkAttack::evaluations`](field@ShrunkAttack::evaluations) do not
-/// depend on the memo.
+/// survivors in canonical order. Passes 1 and 3 and the judgement cap are
+/// [`shrink_with`](crate::shrink_with)'s. Every run is judged through
+/// the caller's oracle ([`AttackOracle::judge`]), so the testbed cache
+/// and the verdict memo carry across shrinks of one target; the minimum
+/// and [`ShrunkAttack::evaluations`](field@ShrunkAttack::evaluations) do
+/// not depend on the memo.
 pub fn shrink_attack_with(
     oracle: &mut AttackOracle,
     target: ProtocolSpec,
@@ -361,84 +335,52 @@ pub fn shrink_attack_with(
     n_nodes: usize,
 ) -> ShrunkAttack {
     let runs_before = oracle.judge_runs();
-    let mut evaluations = 0usize;
-    let mut current = schedule.clone();
-    let outcome = oracle.judge(target, &current, n_nodes);
-    evaluations += 1;
-    let token = outcome.token();
+    let token = oracle.judge(target, schedule.actions(), n_nodes).token();
+    let mut s = Shrinker::new(
+        schedule.to_vec(),
+        token,
+        MAX_ATTACK_EVALUATIONS,
+        |candidate: &[AttackAction]| oracle.judge(target, candidate, n_nodes).token(),
+    );
 
     // Pass 1: drop actions to a fixpoint.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let mut i = 0;
-        while i < current.len() {
-            if current.len() == 1 {
-                break;
-            }
-            let mut actions = current.to_vec();
-            actions.remove(i);
-            let candidate = AttackSchedule::new(actions);
-            if preserves(oracle, target, &candidate, n_nodes, token, &mut evaluations) {
-                current = candidate;
-                changed = true;
-            } else {
-                i += 1;
-            }
-        }
-    }
+    s.drop_to_fixpoint();
 
     // Pass 2: minimize each action's scalar cost — halve while it
     // preserves, then step down — and normalize pulse occurrences.
-    for i in 0..current.len() {
-        if let Some(mut value) = scalar_of(&current.actions()[i]) {
+    for i in 0..s.best.len() {
+        if let Some(mut value) = scalar_of(&s.best[i]) {
             while value > 1 {
                 let half = value / 2;
-                let halved = with_scalar(&current, i, half);
-                if preserves(oracle, target, &halved, n_nodes, token, &mut evaluations) {
-                    current = halved;
+                if s.keep_if_preserved(with_scalar(&s.best, i, half)) {
                     value = half;
-                    continue;
-                }
-                let stepped = with_scalar(&current, i, value - 1);
-                if preserves(oracle, target, &stepped, n_nodes, token, &mut evaluations) {
-                    current = stepped;
+                } else if s.keep_if_preserved(with_scalar(&s.best, i, value - 1)) {
                     value -= 1;
-                    continue;
+                } else {
+                    break;
                 }
-                break;
             }
-        } else if let AttackAction::Pulse { occurrence, .. } = current.actions()[i] {
+        } else if let AttackAction::Pulse { occurrence, .. } = s.best[i] {
             if occurrence > 1 {
-                let mut actions = current.to_vec();
-                if let AttackAction::Pulse { occurrence, .. } = &mut actions[i] {
+                let mut candidate = s.best.clone();
+                if let AttackAction::Pulse { occurrence, .. } = &mut candidate[i] {
                     *occurrence = 1;
                 }
-                let candidate = AttackSchedule::new(actions);
-                if preserves(oracle, target, &candidate, n_nodes, token, &mut evaluations) {
-                    current = candidate;
-                }
+                s.keep_if_preserved(candidate);
             }
         }
     }
 
     // Pass 3: canonical order (stable serialization sort), kept only if
     // the reordering preserves the outcome.
-    let mut sorted = current.to_vec();
-    sorted.sort_by_key(action_sort_key);
-    let candidate = AttackSchedule::new(sorted);
-    if candidate != current
-        && preserves(oracle, target, &candidate, n_nodes, token, &mut evaluations)
-    {
-        current = candidate;
-    }
+    s.sort_canonically(action_sort_key);
 
-    let outcome = oracle.judge(target, &current, n_nodes);
-    evaluations += 1;
+    let (best, evaluations) = s.finish();
+    let outcome = oracle.judge(target, &best, n_nodes);
     ShrunkAttack {
-        schedule: current,
+        schedule: AttackSchedule::new(best),
         outcome,
-        evaluations,
+        evaluations: evaluations + 1,
         runs: oracle.judge_runs() - runs_before,
     }
 }
@@ -533,10 +475,7 @@ pub fn run_attack_search(
     let findings = Mutex::new(Vec::new());
     let run =
         |oracle: &mut AttackOracle, job: &Job| execute_attack_job(oracle, job, Some(&findings));
-    let report = match sink {
-        Some(s) => run_campaign_scoped(&jobs, opts, s, AttackOracle::new, run)?,
-        None => run_campaign_in_memory_scoped(&jobs, opts, AttackOracle::new, run),
-    };
+    let report = run_campaign_scoped(&jobs, opts, sink, AttackOracle::new, run)?;
     let raw = findings.into_inner().expect("finding channel poisoned");
     let ShrinkPhase {
         findings,

@@ -26,8 +26,8 @@
 //! single-process concern — a verified merge exits 0, any transcript
 //! tampering or incomplete shard exits 3.
 
-use majorcan_bench::cli::{exit_code, fleet, open_sink, with_shard_flags, CliArgs, ExtraFlag};
-use majorcan_campaign::{Manifest, ProtocolSpec};
+use majorcan_bench::cli::{exit_code, fleet, parse_targets, with_shard_flags, CliArgs, ExtraFlag};
+use majorcan_campaign::ProtocolSpec;
 use majorcan_falsify::{
     build_attack_jobs, execute_attack_search_job, run_attack_search, write_attack_corpus,
     AttackOracle, AttackSearchConfig, AttackSearchReport,
@@ -52,24 +52,6 @@ const EXTRAS: &[ExtraFlag] = &[
     ),
     ExtraFlag::value("--nodes", "<n: bus size, default 3>"),
 ];
-
-fn parse_targets(text: &str) -> Vec<ProtocolSpec> {
-    text.split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(|t| match ProtocolSpec::from_name(t) {
-            Some(spec) if !spec.is_hlp() => spec,
-            Some(_) => {
-                eprintln!("error: {t} is a higher-level protocol; attacks target the link layer");
-                std::process::exit(exit_code::USAGE);
-            }
-            None => {
-                eprintln!("error: unknown protocol target {t:?}");
-                std::process::exit(exit_code::USAGE);
-            }
-        })
-        .collect()
-}
 
 /// The minimum archived cost for `target` in `class`, if that class broke.
 fn min_cost(report: &AttackSearchReport, target: ProtocolSpec, class: &str) -> Option<u64> {
@@ -146,6 +128,10 @@ fn main() {
     let mut cfg = AttackSearchConfig::new(cli.seed, attacks_per_target);
     if let Some(text) = cli.extra("--targets") {
         cfg.targets = parse_targets(text);
+        if let Some(hlp) = cfg.targets.iter().find(|t| t.is_hlp()) {
+            eprintln!("error: {hlp} is a higher-level protocol; attacks target the link layer");
+            std::process::exit(exit_code::USAGE);
+        }
     }
     cfg.max_cost = cli.extra_u64("--max-cost", 40);
     cfg.n_nodes = cli.extra_u64("--nodes", 3) as usize;
@@ -153,10 +139,11 @@ fn main() {
     // Fleet mode: integrity gate only — break costs live in the
     // in-process shrink channel, so the cost-margin verdict stays
     // single-process (see the module docs).
+    let jobs = build_attack_jobs(&cfg);
     if let Some(code) = fleet(
         &cli,
         "attack-surface",
-        &build_attack_jobs(&cfg),
+        &jobs,
         AttackOracle::new,
         execute_attack_search_job,
         |_| None,
@@ -164,19 +151,12 @@ fn main() {
         std::process::exit(code);
     }
 
-    let opts = cli.campaign_options();
-    let report = match &cli.out {
-        Some(path) => {
-            let manifest = Manifest::for_jobs("attack-surface", cli.seed, &build_attack_jobs(&cfg));
-            let mut sink = open_sink(path, &manifest);
-            run_attack_search(&cfg, &opts, Some(&mut sink))
-        }
-        None => run_attack_search(&cfg, &opts, None),
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(exit_code::IO);
-    });
+    let mut sink = cli.open_out("attack-surface", &jobs);
+    let report =
+        run_attack_search(&cfg, &cli.campaign_options(), sink.as_mut()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(exit_code::IO);
+        });
 
     print_table(&cfg, &report);
 

@@ -27,8 +27,8 @@
 //! merged outcome counters; shrinking and `--corpus` archiving remain
 //! single-process concerns.
 
-use majorcan_bench::cli::{exit_code, fleet, open_sink, with_shard_flags, CliArgs, ExtraFlag};
-use majorcan_campaign::{json, Manifest, ProtocolSpec, Totals};
+use majorcan_bench::cli::{exit_code, fleet, parse_targets, with_shard_flags, CliArgs, ExtraFlag};
+use majorcan_campaign::{json, ProtocolSpec, Totals};
 use majorcan_falsify::{
     build_jobs, execute_search_job, run_search, write_corpus, AttackCorpusEntry, CorpusEntry,
     Engine, Oracle, SearchConfig, SearchReport,
@@ -86,19 +86,6 @@ fn run_probe(path: &str) -> bool {
     }
     eprintln!("error: {path} is not a corpus entry");
     std::process::exit(exit_code::IO);
-}
-
-fn parse_targets(text: &str) -> Vec<ProtocolSpec> {
-    text.split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(|t| {
-            ProtocolSpec::from_name(t).unwrap_or_else(|| {
-                eprintln!("error: unknown protocol target {t:?}");
-                std::process::exit(exit_code::USAGE);
-            })
-        })
-        .collect()
 }
 
 fn print_summary(cfg: &SearchConfig, report: &SearchReport) {
@@ -178,12 +165,13 @@ fn main() {
         Engine::Lanes
     };
 
+    let jobs = build_jobs(&cfg);
     let engine = cfg.engine;
     let factory = move || Oracle::with_engine(engine);
     if let Some(code) = fleet(
         &cli,
         "falsify",
-        &build_jobs(&cfg),
+        &jobs,
         factory,
         execute_search_job,
         merged_majorcan_findings,
@@ -191,16 +179,8 @@ fn main() {
         std::process::exit(code);
     }
 
-    let opts = cli.campaign_options();
-    let report = match &cli.out {
-        Some(path) => {
-            let manifest = Manifest::for_jobs("falsify", cli.seed, &build_jobs(&cfg));
-            let mut sink = open_sink(path, &manifest);
-            run_search(&cfg, &opts, Some(&mut sink))
-        }
-        None => run_search(&cfg, &opts, None),
-    }
-    .unwrap_or_else(|e| {
+    let mut sink = cli.open_out("falsify", &jobs);
+    let report = run_search(&cfg, &cli.campaign_options(), sink.as_mut()).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(exit_code::IO);
     });

@@ -9,7 +9,8 @@
 //! reproduces the same bytes. The `corpus_replay` integration test
 //! re-evaluates every entry on every CI run: violations must keep
 //! reproducing on their target, and MajorCAN must survive every archived
-//! schedule.
+//! schedule. The cheapest-attack certificates under `corpus/attack/`
+//! are written and read through the same directory writer and reader.
 
 use crate::oracle::{evaluate, Outcome};
 use crate::schedule::Schedule;
@@ -28,6 +29,26 @@ pub struct Provenance {
     pub job_id: u64,
     /// Trial index within that job.
     pub trial: u64,
+}
+
+impl Provenance {
+    /// The provenance as a JSON object.
+    pub(crate) fn to_json(self) -> Value {
+        let mut v = Value::obj();
+        v.set("campaign_seed", Value::U64(self.campaign_seed))
+            .set("job_id", Value::U64(self.job_id))
+            .set("trial", Value::U64(self.trial));
+        v
+    }
+
+    /// Parses the fields [`Provenance::to_json`] wrote.
+    pub(crate) fn from_json(v: &Value) -> Option<Provenance> {
+        Some(Provenance {
+            campaign_seed: v.get("campaign_seed")?.as_u64()?,
+            job_id: v.get("job_id")?.as_u64()?,
+            trial: v.get("trial")?.as_u64()?,
+        })
+    }
 }
 
 /// One archived, replayable counterexample.
@@ -64,10 +85,6 @@ impl CorpusEntry {
     /// human-readable rendering of the schedule for reviewers; it is
     /// ignored on load.
     pub fn to_json(&self) -> Value {
-        let mut prov = Value::obj();
-        prov.set("campaign_seed", Value::U64(self.provenance.campaign_seed))
-            .set("job_id", Value::U64(self.provenance.job_id))
-            .set("trial", Value::U64(self.provenance.trial));
         let mut v = Value::obj();
         v.set("protocol", Value::Str(self.protocol.to_string()))
             .set("n_nodes", Value::U64(self.n_nodes as u64))
@@ -84,24 +101,19 @@ impl CorpusEntry {
                         .collect(),
                 ),
             )
-            .set("provenance", prov);
+            .set("provenance", self.provenance.to_json());
         v
     }
 
     /// Parses what [`CorpusEntry::to_json`] produced.
     pub fn from_json(v: &Value) -> Option<CorpusEntry> {
-        let prov = v.get("provenance")?;
         Some(CorpusEntry {
             protocol: ProtocolSpec::from_name(v.get("protocol")?.as_str()?)?,
             n_nodes: v.get("n_nodes")?.as_u64()? as usize,
             budget: v.get("budget")?.as_u64()?,
             expected: v.get("expected")?.as_str()?.to_string(),
             schedule: Schedule::from_json(v.get("schedule")?)?,
-            provenance: Provenance {
-                campaign_seed: prov.get("campaign_seed")?.as_u64()?,
-                job_id: prov.get("job_id")?.as_u64()?,
-                trial: prov.get("trial")?.as_u64()?,
-            },
+            provenance: Provenance::from_json(v.get("provenance")?)?,
         })
     }
 
@@ -115,20 +127,40 @@ impl CorpusEntry {
 /// Writes `entries` into `dir` (created if missing), one file each, and
 /// returns the paths written.
 pub fn write_corpus(dir: &Path, entries: &[CorpusEntry]) -> io::Result<Vec<PathBuf>> {
+    write_entries(dir, entries.iter().map(|e| (e.file_name(), e.to_json())))
+}
+
+/// Loads every `*.json` entry in `dir`, sorted by file name (so replay
+/// order is stable). A missing `dir` is an error.
+pub fn load_corpus(dir: &Path) -> io::Result<Vec<CorpusEntry>> {
+    read_entries(dir, "a corpus entry", CorpusEntry::from_json)
+}
+
+/// The corpus directory writer: one `<name>` file per `(name, document)`
+/// pair, holding the document and a newline, in `dir` (created if
+/// missing). Returns the paths written.
+pub(crate) fn write_entries(
+    dir: &Path,
+    entries: impl Iterator<Item = (String, Value)>,
+) -> io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     entries
-        .iter()
-        .map(|entry| {
-            let path = dir.join(entry.file_name());
-            std::fs::write(&path, format!("{}\n", entry.to_json()))?;
+        .map(|(name, json)| {
+            let path = dir.join(name);
+            std::fs::write(&path, format!("{json}\n"))?;
             Ok(path)
         })
         .collect()
 }
 
-/// Loads every `*.json` entry in `dir`, sorted by file name (so replay
-/// order is stable).
-pub fn load_corpus(dir: &Path) -> io::Result<Vec<CorpusEntry>> {
+/// The corpus directory reader: parses every `*.json` file in `dir` with
+/// `from_json`, sorted by file name. A file `from_json` rejects is an
+/// error naming it as not `what`.
+pub(crate) fn read_entries<E>(
+    dir: &Path,
+    what: &str,
+    from_json: impl Fn(&Value) -> Option<E>,
+) -> io::Result<Vec<E>> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -145,10 +177,10 @@ pub fn load_corpus(dir: &Path) -> io::Result<Vec<CorpusEntry>> {
                     format!("{}: {e}", path.display()),
                 )
             })?;
-            CorpusEntry::from_json(&value).ok_or_else(|| {
+            from_json(&value).ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("{}: not a corpus entry", path.display()),
+                    format!("{}: not {what}", path.display()),
                 )
             })
         })

@@ -28,6 +28,14 @@
 //!   that minimize attack *cost*, and cheapest-attack certificates
 //!   archived under `corpus/attack/`.
 //!
+//! The attack search is the benign search run on attacks, not a copy of
+//! it: both build their job lists, cache and memoise their testbeds,
+//! contain panics, drop and reorder shrink candidates, run the shrink
+//! phase and write and read their corpora through the same code. Only
+//! the generators, the run on the testbed and the per-kind shrink passes
+//! (position normalisation for schedules, cost descent for attacks)
+//! differ.
+//!
 //! The search space is confined to the frame tail — the domain of the
 //! paper's analysis. The whole-frame single-error atlas (EXPERIMENTS.md
 //! F1) already documents what lies outside it.

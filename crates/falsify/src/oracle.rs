@@ -26,12 +26,18 @@
 //! whose candidates repeat across the findings of one target. The free
 //! [`evaluate`] keeps the historical one-shot signature for callers that
 //! grade a single schedule (corpus replay, tests).
+//!
+//! The cache, the memo and the panic containment are the oracle core,
+//! which the [`AttackOracle`](crate::AttackOracle) shares: the two
+//! oracles differ only in how they build the testbed and in what they
+//! run on it.
 
 use crate::schedule::Schedule;
 use majorcan_campaign::ProtocolSpec;
 use majorcan_faults::Disturbance;
-use majorcan_testbed::Testbed;
+use majorcan_testbed::{Testbed, TestbedBuilder};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 pub use majorcan_testbed::{budget_for, classify, Outcome, HLP_BUDGET, LINK_BUDGET};
@@ -43,6 +49,108 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+/// The testbed settings an oracle applies on top of the builder's
+/// defaults for the target and node count.
+pub(crate) type Settings = fn(TestbedBuilder) -> TestbedBuilder;
+
+/// What both oracles are made of: the testbed of the most recent
+/// (target, node-count) pair, the verdicts judged on it (keyed by `K`),
+/// and the containment of build and run panics.
+///
+/// Search workers evaluate in target-major order, so one cached testbed
+/// suffices. After a contained panic the cached testbed is dropped — a
+/// cluster that unwound mid-run is in an unknown state and must not be
+/// reused. The memo belongs to the cached testbed and goes with it.
+#[derive(Debug)]
+pub(crate) struct OracleCore<K, V> {
+    cached: Option<((ProtocolSpec, usize), Testbed)>,
+    memo: HashMap<K, V>,
+    judge_runs: usize,
+}
+
+impl<K, V> Default for OracleCore<K, V> {
+    fn default() -> Self {
+        OracleCore {
+            cached: None,
+            memo: HashMap::new(),
+            judge_runs: 0,
+        }
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> OracleCore<K, V> {
+    /// Runs `run` on the testbed cached for `(target, n_nodes)`, built
+    /// with `settings` on a miss. A panic while building (e.g. an invalid
+    /// MajorCAN tolerance) or running comes back as its message; one while
+    /// running also drops the testbed.
+    pub(crate) fn run<R>(
+        &mut self,
+        target: ProtocolSpec,
+        n_nodes: usize,
+        settings: Settings,
+        run: impl FnOnce(&mut Testbed) -> R,
+    ) -> Result<R, String> {
+        let key = (target, n_nodes);
+        if self.cached.as_ref().map(|(k, _)| *k) != Some(key) {
+            self.cached = None; // drop the old cluster before building
+            self.memo.clear();
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                settings(Testbed::builder(target).nodes(n_nodes)).build()
+            }));
+            self.cached = Some((key, built.map_err(panic_text)?));
+        }
+        let testbed = &mut self.cached.as_mut().expect("testbed cached above").1;
+        catch_unwind(AssertUnwindSafe(|| run(testbed))).map_err(|payload| {
+            self.cached = None;
+            panic_text(payload)
+        })
+    }
+
+    /// As [`OracleCore::run`], but a `key` already judged on the cached
+    /// testbed is not run again: the recorded verdict comes back
+    /// instead. A run that panicked is never recorded.
+    pub(crate) fn judge(
+        &mut self,
+        target: ProtocolSpec,
+        n_nodes: usize,
+        settings: Settings,
+        key: K,
+        run: impl FnOnce(&mut Testbed) -> V,
+    ) -> Result<V, String> {
+        if self.cached.as_ref().map(|(k, _)| *k) == Some((target, n_nodes)) {
+            if let Some(verdict) = self.memo.get(&key) {
+                return Ok(verdict.clone());
+            }
+        }
+        self.judge_runs += 1;
+        let verdict = self.run(target, n_nodes, settings, run)?;
+        self.memo.insert(key, verdict.clone());
+        Ok(verdict)
+    }
+
+    /// Simulator runs [`OracleCore::judge`] has made over this core's
+    /// life: the judgements its memo could not answer.
+    pub(crate) fn judge_runs(&self) -> usize {
+        self.judge_runs
+    }
+}
+
+/// The schedule oracle's testbed: the builder's defaults.
+fn defaults(builder: TestbedBuilder) -> TestbedBuilder {
+    builder
+}
+
+/// The schedule oracle's run: `disturbances` for `budget` bits.
+fn scripted(
+    disturbances: &[Disturbance],
+    budget: u64,
+) -> impl FnOnce(&mut Testbed) -> Outcome + '_ {
+    move |testbed| {
+        testbed.set_budget(budget);
+        testbed.run_schedule(disturbances)
     }
 }
 
@@ -68,16 +176,12 @@ pub enum Engine {
 /// A reusable schedule evaluator with a cached testbed.
 ///
 /// The cache holds the testbed of the most recent (target, node-count)
-/// pair; search workers evaluate in target-major order, so one entry
-/// suffices. After a contained panic the cached testbed is dropped — a
-/// cluster that unwound mid-run is in an unknown state and must not be
-/// reused. The verdicts [`Oracle::judge`] records belong to the cached
-/// testbed and go with it.
+/// pair, built with the builder's defaults. After a contained panic the
+/// cached testbed is dropped. The verdicts [`Oracle::judge`] records
+/// belong to the cached testbed and go with it.
 #[derive(Debug, Default)]
 pub struct Oracle {
-    cached: Option<((ProtocolSpec, usize), Testbed)>,
-    memo: HashMap<(u64, Vec<Disturbance>), Outcome>,
-    judge_runs: usize,
+    core: OracleCore<(u64, Vec<Disturbance>), Outcome>,
     engine: Engine,
 }
 
@@ -96,29 +200,6 @@ impl Oracle {
         }
     }
 
-    /// Builds (or reuses) the cached testbed for `(target, n_nodes)`.
-    /// Returns the contained panic message when assembly itself unwinds
-    /// (e.g. an invalid MajorCAN tolerance).
-    fn testbed_for(
-        &mut self,
-        target: ProtocolSpec,
-        n_nodes: usize,
-    ) -> Result<&mut Testbed, String> {
-        let key = (target, n_nodes);
-        if self.cached.as_ref().map(|(k, _)| *k) != Some(key) {
-            self.cached = None; // drop the old cluster before building
-            self.memo.clear();
-            let built = catch_unwind(AssertUnwindSafe(|| {
-                Testbed::builder(target).nodes(n_nodes).build()
-            }));
-            match built {
-                Ok(testbed) => self.cached = Some((key, testbed)),
-                Err(payload) => return Err(panic_text(payload)),
-            }
-        }
-        Ok(&mut self.cached.as_mut().expect("testbed cached above").1)
-    }
-
     /// Evaluates `schedule` against `target` for `budget` bit times and
     /// classifies the run. Panics inside the simulator or checker are
     /// caught and reported as [`Outcome::CheckerPanic`] — the oracle
@@ -130,21 +211,14 @@ impl Oracle {
         n_nodes: usize,
         budget: u64,
     ) -> Outcome {
-        let testbed = match self.testbed_for(target, n_nodes) {
-            Ok(testbed) => testbed,
-            Err(msg) => return Outcome::CheckerPanic(msg),
-        };
-        testbed.set_budget(budget);
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            testbed.run_schedule(schedule.disturbances())
-        }));
-        match run {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                self.cached = None;
-                Outcome::CheckerPanic(panic_text(payload))
-            }
-        }
+        self.core
+            .run(
+                target,
+                n_nodes,
+                defaults,
+                scripted(schedule.disturbances(), budget),
+            )
+            .unwrap_or_else(Outcome::CheckerPanic)
     }
 
     /// As [`Oracle::evaluate`], but a disturbance list this oracle already
@@ -161,23 +235,21 @@ impl Oracle {
         budget: u64,
     ) -> Outcome {
         let key = (budget, disturbances.to_vec());
-        if self.cached.as_ref().map(|(k, _)| *k) == Some((target, n_nodes)) {
-            if let Some(outcome) = self.memo.get(&key) {
-                return outcome.clone();
-            }
-        }
-        self.judge_runs += 1;
-        let outcome = self.evaluate(target, &Schedule::new(key.1.clone()), n_nodes, budget);
-        if !matches!(outcome, Outcome::CheckerPanic(_)) {
-            self.memo.insert(key, outcome.clone());
-        }
-        outcome
+        self.core
+            .judge(
+                target,
+                n_nodes,
+                defaults,
+                key,
+                scripted(disturbances, budget),
+            )
+            .unwrap_or_else(Outcome::CheckerPanic)
     }
 
     /// Simulator runs [`Oracle::judge`] has made over this oracle's life:
     /// the judgements its memo could not answer.
     pub(crate) fn judge_runs(&self) -> usize {
-        self.judge_runs
+        self.core.judge_runs()
     }
 
     /// Evaluates a whole batch of schedules against one target through
@@ -187,13 +259,12 @@ impl Oracle {
     /// to what [`Oracle::evaluate`] would have returned.
     ///
     /// Panic containment matches the scalar path per schedule: if the
-    /// batch run unwinds anywhere, the cached cluster is dropped and
-    /// every schedule is re-evaluated one by one, so exactly the
-    /// schedules that panic classify as [`Outcome::CheckerPanic`] and the
-    /// rest keep their real outcomes. A truncated run
-    /// ([`Outcome::Truncated`]) propagates through unchanged — the
-    /// campaign counters carry its `truncated` token instead of a
-    /// spurious clean verdict.
+    /// batch build or run unwinds anywhere, every schedule is evaluated
+    /// one by one, so exactly the schedules that panic classify as
+    /// [`Outcome::CheckerPanic`] and the rest keep their real outcomes. A
+    /// truncated run ([`Outcome::Truncated`]) propagates through
+    /// unchanged — the campaign counters carry its `truncated` token
+    /// instead of a spurious clean verdict.
     pub fn evaluate_batch(
         &mut self,
         target: ProtocolSpec,
@@ -201,29 +272,20 @@ impl Oracle {
         n_nodes: usize,
         budget: u64,
     ) -> Vec<Outcome> {
-        if self.engine == Engine::Scalar {
-            return schedules
-                .iter()
-                .map(|s| self.evaluate(target, s, n_nodes, budget))
-                .collect();
-        }
-        let testbed = match self.testbed_for(target, n_nodes) {
-            Ok(testbed) => testbed,
-            Err(msg) => return vec![Outcome::CheckerPanic(msg); schedules.len()],
-        };
-        testbed.set_budget(budget);
-        let refs: Vec<&[Disturbance]> = schedules.iter().map(Schedule::disturbances).collect();
-        let run = catch_unwind(AssertUnwindSafe(|| testbed.run_lanes(&refs)));
-        match run {
-            Ok(outcomes) => outcomes,
-            Err(_) => {
-                self.cached = None;
-                schedules
-                    .iter()
-                    .map(|s| self.evaluate(target, s, n_nodes, budget))
-                    .collect()
+        if self.engine == Engine::Lanes {
+            let refs: Vec<&[Disturbance]> = schedules.iter().map(Schedule::disturbances).collect();
+            let run = self.core.run(target, n_nodes, defaults, |testbed| {
+                testbed.set_budget(budget);
+                testbed.run_lanes(&refs)
+            });
+            if let Ok(outcomes) = run {
+                return outcomes;
             }
         }
+        schedules
+            .iter()
+            .map(|s| self.evaluate(target, s, n_nodes, budget))
+            .collect()
     }
 }
 

@@ -7,6 +7,7 @@
 //! [`Field`]'s `Display`/`from_token` pair.
 
 use majorcan_campaign::json::Value;
+use majorcan_campaign::shard::result_line_hash;
 use majorcan_can::Field;
 use majorcan_faults::Disturbance;
 use std::fmt;
@@ -68,27 +69,32 @@ impl Schedule {
     /// FNV-1a hash of [`Schedule::key`] — stable across runs and
     /// platforms, used in corpus file names.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for byte in self.key().bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        result_line_hash(&self.key())
     }
+}
+
+/// Writes `items` joined by `"; "`, or `empty` when there are none — the
+/// `Display` of both schedule kinds.
+pub(crate) fn write_joined<T: fmt::Display>(
+    f: &mut fmt::Formatter<'_>,
+    items: &[T],
+    empty: &str,
+) -> fmt::Result {
+    if items.is_empty() {
+        return f.write_str(empty);
+    }
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str("; ")?;
+        }
+        write!(f, "{item}")?;
+    }
+    Ok(())
 }
 
 impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.disturbances.is_empty() {
-            return f.write_str("(empty schedule)");
-        }
-        for (i, d) in self.disturbances.iter().enumerate() {
-            if i > 0 {
-                f.write_str("; ")?;
-            }
-            write!(f, "{d}")?;
-        }
-        Ok(())
+        write_joined(f, &self.disturbances, "(empty schedule)")
     }
 }
 

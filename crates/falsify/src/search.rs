@@ -24,8 +24,8 @@ use crate::shrink::{shrink_with, Shrunk};
 use crate::shrink_phase::{cap_per_class, shrink_phase, RawFinding, ShrinkPhase, ShrinkResult};
 use majorcan_bench::jobs::chunked_frames;
 use majorcan_campaign::{
-    derive_trial_seed, run_campaign_in_memory_scoped, run_campaign_scoped, CampaignOptions,
-    FaultSpec, Job, JobResult, JsonlSink, ProtocolSpec, Totals, WorkloadSpec,
+    derive_trial_seed, run_campaign_scoped, CampaignOptions, FaultSpec, Job, JobResult, JsonlSink,
+    ProtocolSpec, Totals, WorkloadSpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -143,38 +143,70 @@ pub struct SearchReport {
 impl SearchReport {
     /// Number of deduplicated raw findings against `target`.
     pub fn findings_for(&self, target: ProtocolSpec) -> usize {
-        self.findings.iter().filter(|f| f.target == target).count()
+        findings_for(&self.findings, target)
     }
 
     /// The explored-schedule count for `target` (sum of its outcome
     /// counters).
     pub fn explored_for(&self, target: ProtocolSpec) -> u64 {
-        let prefix = format!("outcome/{target}/");
-        self.totals
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(&prefix))
-            .map(|(_, v)| v)
-            .sum()
+        explored_for(&self.totals, "outcome", target)
     }
+}
+
+/// Number of `findings` against `target`.
+pub(crate) fn findings_for<F: RawFinding>(findings: &[F], target: ProtocolSpec) -> usize {
+    findings.iter().filter(|f| f.target() == target).count()
+}
+
+/// The sum of the `<kind>/<target>/…` outcome counters in `totals`: the
+/// trials a search ran against `target`.
+pub(crate) fn explored_for(totals: &Totals, kind: &str, target: ProtocolSpec) -> u64 {
+    let prefix = format!("{kind}/{target}/");
+    totals
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with(&prefix))
+        .map(|(_, v)| v)
+        .sum()
 }
 
 /// Builds the job list of a search campaign: per target,
 /// `schedules_per_target` trials chunked into [`SCHEDULES_PER_JOB`]-sized
 /// [`FaultSpec::AdversarialSearch`] jobs.
 pub fn build_jobs(cfg: &SearchConfig) -> Vec<Job> {
+    let fault = FaultSpec::AdversarialSearch {
+        max_errors: cfg.max_errors,
+    };
+    jobs_for(
+        cfg.campaign_seed,
+        &cfg.targets,
+        cfg.n_nodes,
+        cfg.schedules_per_target,
+        SCHEDULES_PER_JOB,
+        fault,
+    )
+}
+
+/// The job list of either search: per target, `per_target` trials
+/// chunked into `per_job`-sized `fault` jobs, with ids in target order.
+pub(crate) fn jobs_for(
+    campaign_seed: u64,
+    targets: &[ProtocolSpec],
+    n_nodes: usize,
+    per_target: u64,
+    per_job: u64,
+    fault: FaultSpec,
+) -> Vec<Job> {
     let mut jobs = Vec::new();
-    for &target in &cfg.targets {
-        for chunk in chunked_frames(cfg.schedules_per_target, SCHEDULES_PER_JOB) {
+    for &target in targets {
+        for chunk in chunked_frames(per_target, per_job) {
             jobs.push(Job::new(
                 jobs.len() as u64,
-                cfg.campaign_seed,
+                campaign_seed,
                 target,
-                FaultSpec::AdversarialSearch {
-                    max_errors: cfg.max_errors,
-                },
+                fault.clone(),
                 WorkloadSpec::SingleBroadcast,
-                cfg.n_nodes,
+                n_nodes,
                 chunk,
             ));
         }
@@ -258,10 +290,7 @@ pub fn run_search(
     let engine = cfg.engine;
     let factory = move || Oracle::with_engine(engine);
     let run = |oracle: &mut Oracle, job: &Job| execute_job(oracle, job, Some(&findings));
-    let report = match sink {
-        Some(s) => run_campaign_scoped(&jobs, opts, s, factory, run)?,
-        None => run_campaign_in_memory_scoped(&jobs, opts, factory, run),
-    };
+    let report = run_campaign_scoped(&jobs, opts, sink, factory, run)?;
     let raw = findings.into_inner().expect("finding channel poisoned");
     let ShrinkPhase {
         findings,

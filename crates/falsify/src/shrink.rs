@@ -11,6 +11,11 @@
 //! out, bounded by [`MAX_EVALUATIONS`] judgements. Each judgement goes
 //! through [`Oracle::judge`], so a candidate the oracle already judged
 //! costs no simulator run.
+//!
+//! The attack shrinker
+//! ([`shrink_attack_with`](crate::shrink_attack_with)) runs the same
+//! judgement cap, drop pass and canonical-order pass over attack actions
+//! (this module's `Shrinker`); only the passes between them differ.
 
 use crate::oracle::{Oracle, Outcome};
 use crate::schedule::Schedule;
@@ -39,20 +44,78 @@ pub struct Shrunk {
     pub runs: usize,
 }
 
-fn preserves(
-    oracle: &mut Oracle,
-    target: ProtocolSpec,
-    candidate: &[Disturbance],
-    n_nodes: usize,
-    budget: u64,
-    token: &str,
-    evals: &mut usize,
-) -> bool {
-    if *evals >= MAX_EVALUATIONS {
-        return false;
+/// One shrink in progress: the current minimum, the outcome token it
+/// must keep, and the judgements spent on it, capped at `max`. `judge`
+/// returns a candidate's outcome token.
+pub(crate) struct Shrinker<T, J> {
+    /// The current minimum.
+    pub(crate) best: Vec<T>,
+    token: &'static str,
+    judge: J,
+    evaluations: usize,
+    max: usize,
+}
+
+impl<T: Clone + PartialEq, J: FnMut(&[T]) -> &'static str> Shrinker<T, J> {
+    /// A shrink of `start`, whose own judgement (already spent) gave
+    /// `token`.
+    pub(crate) fn new(start: Vec<T>, token: &'static str, max: usize, judge: J) -> Self {
+        Shrinker {
+            best: start,
+            token,
+            judge,
+            evaluations: 1,
+            max,
+        }
     }
-    *evals += 1;
-    oracle.judge(target, candidate, n_nodes, budget).token() == token
+
+    /// Judges `candidate` and makes it the minimum if it keeps the token.
+    /// Once the cap is spent, nothing is judged and nothing is kept.
+    pub(crate) fn keep_if_preserved(&mut self, candidate: Vec<T>) -> bool {
+        if self.evaluations >= self.max {
+            return false;
+        }
+        self.evaluations += 1;
+        let kept = (self.judge)(&candidate) == self.token;
+        if kept {
+            self.best = candidate;
+        }
+        kept
+    }
+
+    /// Drops entries one at a time to a fixpoint (ddmin at granularity
+    /// 1), never below one entry.
+    pub(crate) fn drop_to_fixpoint(&mut self) {
+        let mut changed = true;
+        while changed {
+            changed = false;
+            let mut i = 0;
+            while i < self.best.len() && self.best.len() > 1 {
+                let mut candidate = self.best.clone();
+                candidate.remove(i);
+                if self.keep_if_preserved(candidate) {
+                    changed = true;
+                } else {
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    /// Sorts the minimum by `key` (stably), kept only if the order does
+    /// not matter to the outcome.
+    pub(crate) fn sort_canonically<K: Ord>(&mut self, key: impl FnMut(&T) -> K) {
+        let mut sorted = self.best.clone();
+        sorted.sort_by_key(key);
+        if sorted != self.best {
+            self.keep_if_preserved(sorted);
+        }
+    }
+
+    /// The minimum and the judgements spent on it.
+    pub(crate) fn finish(self) -> (Vec<T>, usize) {
+        (self.best, self.evaluations)
+    }
 }
 
 fn canonical_key(d: &Disturbance) -> (usize, String, u16, u32, bool) {
@@ -83,74 +146,47 @@ pub fn shrink_with(
 ) -> Shrunk {
     let runs_before = oracle.judge_runs();
     let outcome = oracle.judge(target, schedule.disturbances(), n_nodes, budget);
-    let token = outcome.token();
-    let mut best = schedule.to_vec();
-    let mut evals = 1usize;
+    let mut s = Shrinker::new(
+        schedule.to_vec(),
+        outcome.token(),
+        MAX_EVALUATIONS,
+        |candidate: &[Disturbance]| oracle.judge(target, candidate, n_nodes, budget).token(),
+    );
 
     // Pass 1 — drop passengers to a fixpoint.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let mut i = 0;
-        while i < best.len() && best.len() > 1 {
-            let mut candidate = best.clone();
-            candidate.remove(i);
-            if preserves(
-                oracle, target, &candidate, n_nodes, budget, token, &mut evals,
-            ) {
-                best = candidate;
-                changed = true;
-            } else {
-                i += 1;
-            }
-        }
-    }
+    s.drop_to_fixpoint();
 
     // Pass 2 — normalize each survivor: first occurrence, the field bit
     // rather than its stuff bit, then the earliest index that still
     // reproduces.
-    for i in 0..best.len() {
-        if best[i].occurrence != 1 {
-            let mut candidate = best.clone();
+    for i in 0..s.best.len() {
+        if s.best[i].occurrence != 1 {
+            let mut candidate = s.best.clone();
             candidate[i].occurrence = 1;
-            if preserves(
-                oracle, target, &candidate, n_nodes, budget, token, &mut evals,
-            ) {
-                best = candidate;
-            }
+            s.keep_if_preserved(candidate);
         }
-        if best[i].stuff {
-            let mut candidate = best.clone();
+        if s.best[i].stuff {
+            let mut candidate = s.best.clone();
             candidate[i].stuff = false;
-            if preserves(
-                oracle, target, &candidate, n_nodes, budget, token, &mut evals,
-            ) {
-                best = candidate;
-            }
+            s.keep_if_preserved(candidate);
         }
-        for index in 0..best[i].index {
-            let mut candidate = best.clone();
+        for index in 0..s.best[i].index {
+            let mut candidate = s.best.clone();
             candidate[i].index = index;
-            if preserves(
-                oracle, target, &candidate, n_nodes, budget, token, &mut evals,
-            ) {
-                best = candidate;
+            if s.keep_if_preserved(candidate) {
                 break;
             }
         }
     }
 
     // Pass 3 — canonical order, when order doesn't matter to the outcome.
-    let mut sorted = best.clone();
-    sorted.sort_by_key(canonical_key);
-    if sorted != best && preserves(oracle, target, &sorted, n_nodes, budget, token, &mut evals) {
-        best = sorted;
-    }
+    s.sort_canonically(canonical_key);
 
+    let (best, evaluations) = s.finish();
     Shrunk {
         schedule: Schedule::new(best),
         outcome,
-        evaluations: evals,
+        evaluations,
         runs: oracle.judge_runs() - runs_before,
     }
 }

@@ -2,8 +2,11 @@
 //! [`Testbed::run_lanes`] call, checked against the scalar
 //! [`Testbed::run_schedule`] reference path. Both finish a schedule
 //! through this module's `run_one`, the one load → run → grade function
-//! of all six stacks: link clusters and higher-level-protocol clusters
-//! differ only in their [`Stack`] stimulus and grade.
+//! of all six stacks and of both fault kinds: link clusters and
+//! higher-level-protocol clusters differ only in their [`Stack`]
+//! stimulus and grade, and a disturbance script and an attack only in
+//! the [`Load`] installed on the channel ([`Testbed::run_attack`] runs
+//! the latter).
 //!
 //! The falsifier's random fault models produce mostly prefix-free
 //! schedules, yet every one of them shares something: until a
@@ -45,6 +48,7 @@
 //!
 //! [`Testbed::run_lanes`]: crate::Testbed::run_lanes
 //! [`Testbed::run_schedule`]: crate::Testbed::run_schedule
+//! [`Testbed::run_attack`]: crate::Testbed::run_attack
 //! [`Simulator::run`]: majorcan_sim::Simulator::run
 
 use crate::channel::BusChannel;
@@ -52,7 +56,7 @@ use crate::outcome::{classify, Outcome};
 use crate::testbed::HLP_PROBE_PAYLOAD;
 use majorcan_abcast::{check_can_events, Verdict};
 use majorcan_can::{Controller, Field, Variant, WirePos};
-use majorcan_faults::{scenario_frame, Disturbance};
+use majorcan_faults::{scenario_frame, AttackAction, Disturbance};
 use majorcan_hlp::{trace_from_hlp_events, HlpLayer, HlpNode};
 use majorcan_sim::{BitNode, NodeId, SimSnapshot, Simulator};
 
@@ -140,27 +144,40 @@ impl<L: HlpLayer + Clone> Stack for HlpNode<L> {
     }
 }
 
-/// Rewinds the cluster onto `schedule` as its scripted channel, reusing
-/// the previous script's allocation when there is one — the body of
-/// `Testbed::load_script`.
+/// What a run installs on the bus channel.
+#[derive(Clone, Copy)]
+pub(crate) enum Load<'a> {
+    /// A disturbance script.
+    Script(&'a [Disturbance]),
+    /// Attack actions with the attacker's cost budget.
+    Attack(&'a [AttackAction], u64),
+}
+
+/// Rewinds the cluster onto `faults`, reloading the channel in place
+/// when it already holds the same kind — the body of
+/// `Testbed::load_script` and `Testbed::load_attack`.
 #[inline]
-pub(crate) fn rewind<N: Stack>(sim: &mut Sim<N>, schedule: &[Disturbance]) {
-    if let BusChannel::Scripted(script) = sim.channel_mut() {
-        script.reload(schedule);
-        sim.reset();
-    } else {
-        sim.reset_with_channel(BusChannel::scripted(schedule.to_vec()));
+pub(crate) fn rewind<N: Stack>(sim: &mut Sim<N>, faults: Load<'_>) {
+    match (sim.channel_mut(), faults) {
+        (BusChannel::Scripted(script), Load::Script(schedule)) => script.reload(schedule),
+        (BusChannel::Attack(attacker), Load::Attack(actions, budget)) => {
+            attacker.reload(actions, budget)
+        }
+        (channel, Load::Script(schedule)) => *channel = BusChannel::scripted(schedule.to_vec()),
+        (channel, Load::Attack(actions, budget)) => {
+            *channel = BusChannel::attack(actions.to_vec(), budget)
+        }
     }
+    sim.reset();
     for node in sim.nodes_mut() {
         node.rewind();
     }
 }
 
-/// Rewinds the cluster onto `schedule` and queues the canonical
-/// stimulus.
+/// Rewinds the cluster onto `faults` and queues the canonical stimulus.
 #[inline]
-fn load<N: Stack>(sim: &mut Sim<N>, schedule: &[Disturbance]) {
-    rewind(sim, schedule);
+fn load<N: Stack>(sim: &mut Sim<N>, faults: Load<'_>) {
+    rewind(sim, faults);
     sim.node_mut(NodeId(0)).stimulus();
 }
 
@@ -173,22 +190,25 @@ pub(crate) fn drained<V: Variant>(sim: &Sim<Controller<V>>) -> bool {
         .all(|n| (n.is_idle() && n.pending() == 0) || n.is_crashed())
 }
 
+/// The one grade of a run: the verdict on its event log, the channel's
+/// unfired entries, and the truncation test against `budget`. The body
+/// of `Testbed::outcome`.
 #[inline]
-fn outcome_of<N: Stack>(sim: &Sim<N>, n_nodes: usize, budget: u64) -> Outcome {
+pub(crate) fn outcome_of<N: Stack>(sim: &Sim<N>, n_nodes: usize, budget: u64) -> Outcome {
     classify(N::verdict(sim, n_nodes), sim.channel().unfired_len())
         .truncate_if(N::truncated(sim, budget))
 }
 
-/// One scalar evaluation: loads `schedule`, runs the budget and grades
-/// the run. The body of `Testbed::run_schedule`.
+/// One scalar evaluation: loads `faults`, runs the budget and grades the
+/// run. The body of `Testbed::run_schedule` and `Testbed::run_attack`.
 #[inline]
 pub(crate) fn run_one<N: Stack>(
     sim: &mut Sim<N>,
     n_nodes: usize,
     budget: u64,
-    schedule: &[Disturbance],
+    faults: Load<'_>,
 ) -> Outcome {
-    load(sim, schedule);
+    load(sim, faults);
     sim.run(budget);
     outcome_of(sim, n_nodes, budget)
 }
@@ -212,7 +232,7 @@ pub(crate) fn run_lanes<N: Stack>(
             .iter()
             .any(|d| NO_FORK_FIELDS.contains(&d.field) || d.node >= n_nodes)
         {
-            outcomes[i] = Some(run_one(sim, n_nodes, budget, schedule));
+            outcomes[i] = Some(run_one(sim, n_nodes, budget, Load::Script(schedule)));
         } else {
             riding.push(i);
         }
@@ -226,7 +246,7 @@ pub(crate) fn run_lanes<N: Stack>(
     let mut seen = vec![false; n_nodes * Field::ALL.len()];
     let mut snapshots: Vec<SimSnapshot<N, BusChannel>> = Vec::new();
     let mut peeled: Vec<(usize, usize)> = Vec::new(); // (snapshot, schedule)
-    load(sim, &[]);
+    load(sim, Load::Script(&[]));
     while !riding.is_empty() && sim.now() < budget {
         let mut fresh = false;
         for (node, n) in sim.nodes().enumerate() {

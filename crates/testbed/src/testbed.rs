@@ -1,8 +1,8 @@
 //! The [`Testbed`]: build a cluster once, run it thousands of times.
 
 use crate::channel::BusChannel;
-use crate::lanes::{self, Stack};
-use crate::outcome::{classify, Outcome};
+use crate::lanes::{self, Load, Stack};
+use crate::outcome::Outcome;
 use crate::scenario_run::ScenarioRun;
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::{CanEvent, Controller, ControllerConfig, Frame, Variant};
@@ -424,36 +424,19 @@ impl Testbed {
     /// fault channel, reusing the previous script's allocation when the
     /// testbed already ran one.
     pub fn load_script(&mut self, disturbances: &[Disturbance]) {
-        each_sim!(&mut self.cluster, sim => lanes::rewind(sim, disturbances));
+        each_sim!(&mut self.cluster, sim => lanes::rewind(sim, Load::Script(disturbances)));
     }
 
     /// Rewinds the cluster and arms `actions` as a budgeted attack
     /// channel, reusing the previous attacker's allocation when the
-    /// testbed already ran one (mirrors [`Testbed::load_script`]).
+    /// testbed already ran one.
     pub fn load_attack(&mut self, actions: &[AttackAction], budget: u64) {
-        each_sim!(&mut self.cluster, sim => {
-            if let BusChannel::Attack(attacker) = sim.channel_mut() {
-                attacker.reload(actions, budget);
-                sim.reset();
-            } else {
-                sim.reset_with_channel(BusChannel::attack(actions.to_vec(), budget));
-            }
-            sim.nodes_mut().for_each(Stack::rewind);
-        });
+        each_sim!(&mut self.cluster, sim => lanes::rewind(sim, Load::Attack(actions, budget)));
     }
 
     /// The armed attacker, if the current channel is an attack channel.
     pub fn attacker(&self) -> Option<&Attacker> {
         each_sim!(&self.cluster, sim => sim.channel().attacker())
-    }
-
-    /// `(TEC, REC)` of `node`'s fault-confinement entity, for observing
-    /// attack-driven counter trajectories. Link-layer clusters only.
-    pub fn fault_counters(&self, node: usize) -> (u16, u16) {
-        link_sim!(&self.cluster, self.protocol, "fault_counters", sim => {
-            let fc = sim.node(NodeId(node)).fault_confinement();
-            (fc.tec(), fc.rec())
-        })
     }
 
     /// Arms (or clears) a scripted fail-silent crash on `node` for the
@@ -571,10 +554,14 @@ impl Testbed {
     }
 
     /// Grades the current run with the Atomic Broadcast checker and
-    /// classifies it into the shared [`Outcome`] vocabulary.
+    /// classifies it into the shared [`Outcome`] vocabulary — the one
+    /// grade every run path applies. On a link cluster a run that reached
+    /// the configured budget while the bus was still active (not
+    /// [`Testbed::is_drained`]) classifies as [`Outcome::Truncated`]
+    /// instead of a clean verdict.
     pub fn outcome(&self) -> Outcome {
-        let verdict = each_sim!(&self.cluster, sim => Stack::verdict(sim, self.n_nodes));
-        classify(verdict, self.unfired_len())
+        let (n_nodes, budget) = (self.n_nodes, self.budget);
+        each_sim!(&self.cluster, sim => lanes::outcome_of(sim, n_nodes, budget))
     }
 
     /// The campaign hot loop: rewinds the cluster, loads `schedule`,
@@ -590,15 +577,18 @@ impl Testbed {
     /// layer timer can fall due inside the frame): only the disturbed
     /// attempts are stepped.
     ///
-    /// On a link cluster, a run whose budget elapses while the bus is
-    /// still active (not [`Testbed::is_drained`]) classifies as
-    /// [`Outcome::Truncated`] instead of a clean verdict: the trace is a
-    /// prefix, and "no violation on a prefix" is not "no violation".
-    /// Higher-level-protocol runs are graded without that check.
+    /// The run is graded as [`Testbed::outcome`] grades it: on a link
+    /// cluster, a run whose budget elapses while the bus is still active
+    /// classifies as [`Outcome::Truncated`] instead of a clean verdict —
+    /// the trace is a prefix, and "no violation on a prefix" is not "no
+    /// violation". Higher-level-protocol runs are graded without that
+    /// check.
     pub fn run_schedule(&mut self, schedule: &[Disturbance]) -> Outcome {
         self.set_record_trace(false);
         let (n_nodes, budget) = (self.n_nodes, self.budget);
-        each_sim!(&mut self.cluster, sim => lanes::run_one(sim, n_nodes, budget, schedule))
+        each_sim!(&mut self.cluster, sim => {
+            lanes::run_one(sim, n_nodes, budget, Load::Script(schedule))
+        })
     }
 
     /// Forwards to [`Testbed::run_lanes`]. Kept only because the pinned
@@ -623,20 +613,20 @@ impl Testbed {
         each_sim!(&mut self.cluster, sim => lanes::run_lanes(sim, n_nodes, budget, schedules))
     }
 
-    /// The attack-campaign hot loop: rewinds the cluster, arms `actions`
-    /// as a budgeted attack channel, applies the canonical link stimulus
-    /// (node 0 transmits [`scenario_frame`]), runs the clock to the
-    /// configured budget without trace recording and classifies the run.
-    /// Once the bus settles and the attacker can no longer strike it (its
-    /// cost budget spent, or nothing left but positions a settled bus
-    /// never shows), the rest of the budget is leapt. Link-layer clusters
-    /// only — attacks target the frame format itself.
+    /// The attack-campaign hot loop: [`Testbed::run_schedule`] with
+    /// `actions` armed as a budgeted attack channel in place of a
+    /// disturbance script. The run takes the same load → run → grade
+    /// path, truncation test included. Once the bus settles and the
+    /// attacker can no longer strike it (its cost budget spent, or
+    /// nothing left but positions a settled bus never shows), the rest of
+    /// the budget is leapt. Link-layer clusters only — attacks target the
+    /// frame format itself.
     pub fn run_attack(&mut self, actions: &[AttackAction], cost_budget: u64) -> Outcome {
         self.set_record_trace(false);
-        self.load_attack(actions, cost_budget);
-        self.enqueue(0, scenario_frame());
-        self.run(self.budget);
-        self.outcome()
+        let (n_nodes, budget) = (self.n_nodes, self.budget);
+        link_sim!(&mut self.cluster, self.protocol, "run_attack", sim => {
+            lanes::run_one(sim, n_nodes, budget, Load::Attack(actions, cost_budget))
+        })
     }
 
     /// Executes an ad-hoc disturbance schedule (node 0 transmits

@@ -6,8 +6,8 @@
 //! as a confident `Consistent` — and a shortcut classifying every
 //! untripped schedule from one shared run stamped that verdict onto all
 //! of them. These tests pin the fix: a run whose budget elapses while the
-//! bus is still active is [`Outcome::Truncated`], on the scalar and
-//! batch paths alike.
+//! bus is still active is [`Outcome::Truncated`], on the scalar, batch
+//! and attack paths alike.
 
 use majorcan_can::Field;
 use majorcan_faults::Disturbance;
@@ -127,4 +127,25 @@ fn truncation_does_not_demote_violations() {
         Outcome::Vacuous { unfired: 2 }.truncate_if(true),
         Outcome::Truncated { unfired: 2 }
     );
+}
+
+/// An attack run takes the same grade as a scripted one. Eight CRC
+/// delimiter strikes against MajorCAN_3's transmitter keep it
+/// retransmitting; a 625-bit budget cuts the run after the fault-free
+/// prefix it has seen so far grades consistent, but while the bus is
+/// still busy. That prefix certifies nothing, so `run_attack` and a
+/// re-grade through `Testbed::outcome` must both say `truncated`.
+#[test]
+fn attack_run_cut_on_a_busy_bus_truncates() {
+    use majorcan_faults::Strategy;
+    let actions = Strategy::BusOffAttack { victim: 0, reps: 8 }.actions();
+    let mut tb = Testbed::builder(ProtocolSpec::MajorCan { m: 3 })
+        .nodes(3)
+        .budget(625)
+        .shutoff_at_warning(false)
+        .build();
+    let outcome = tb.run_attack(&actions, 8);
+    assert!(!tb.is_drained(), "the budget must cut a busy bus");
+    assert_eq!(outcome, Outcome::Truncated { unfired: 0 });
+    assert_eq!(tb.outcome(), outcome);
 }

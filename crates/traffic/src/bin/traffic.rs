@@ -33,10 +33,7 @@
 //! the merged `verdict/*` counters, honouring `--allow-violations`.
 
 use majorcan_bench::cli::{self, exit_code, CliArgs, ExtraFlag};
-use majorcan_campaign::{
-    run_campaign_in_memory_scoped, run_campaign_scoped, FaultSpec, Job, JobResult, Manifest,
-    ProtocolSpec, WorkloadSpec,
-};
+use majorcan_campaign::{FaultSpec, Job, JobResult, ProtocolSpec, WorkloadSpec};
 use majorcan_traffic::{run_soak, ExportFormat, SoakSpec, TraceExporter, DEFAULT_WINDOW};
 use std::path::PathBuf;
 
@@ -223,22 +220,7 @@ fn main() {
         std::process::exit(code);
     }
 
-    let opts = cli.campaign_options();
-    let report = match &cli.out {
-        Some(path) => {
-            let manifest = Manifest::for_jobs("traffic-soak", cli.seed, &jobs);
-            let mut sink = cli::open_sink(path, &manifest);
-            run_campaign_scoped(&jobs, &opts, &mut sink, || (), |_, job| run_one(job))
-                .expect("campaign I/O")
-        }
-        None => run_campaign_in_memory_scoped(&jobs, &opts, || (), |_, job| run_one(job)),
-    };
-    if !report.failures.is_empty() {
-        eprintln!(
-            "warning: {} job(s) failed; see the failures artifact",
-            report.failures.len()
-        );
-    }
+    let report = cli.run_campaign("traffic-soak", &jobs, || (), |_, job| run_one(job));
 
     println!(
         "{:<12} {:>5} {:>9} {:>9} {:>7} {:>7} {:>7} {:>8} {:>8} {:>9} {:>8}  verdict",
