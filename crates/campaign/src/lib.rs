@@ -69,8 +69,8 @@ pub use job::{
     JobResult, ProtocolSpec, Totals, WorkloadSpec,
 };
 pub use runner::{
-    map_ordered, run_campaign_in_memory_scoped, run_campaign_scoped, CampaignOptions,
-    CampaignReport, WorkerStats,
+    map_ordered, panic_message, run_campaign_in_memory_scoped, run_campaign_scoped,
+    CampaignOptions, CampaignReport, WorkerStats,
 };
 pub use shard::{
     campaign_anchor, merge_ready, merge_shards, run_fleet_worker, shard_of, ChaosMode,

@@ -112,7 +112,10 @@ struct Completion {
     outcome: Outcome,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic: its `&str` or `String` payload, or a
+/// placeholder for any other payload type. Job failures carry it, and so
+/// do the falsifier oracles' contained panics.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

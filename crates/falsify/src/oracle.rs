@@ -22,8 +22,14 @@
 //! A long-lived [`Oracle`] caches one testbed per (target, node-count)
 //! pair, so a search worker evaluating thousands of schedules against the
 //! same target reuses the cluster instead of reassembling it per run.
-//! [`Oracle::judge`] adds a verdict memo on that testbed for the shrinker,
-//! whose candidates repeat across the findings of one target. The free
+//! It also keeps a verdict memo on that testbed. [`Oracle::judge`] reads
+//! and fills it for the shrinker, whose candidates repeat across the
+//! findings of one target. On the default engine,
+//! [`Oracle::evaluate_batch`] reads and fills it for one-disturbance
+//! schedules: the campaign generator draws each target's few hundred
+//! one-disturbance schedules over and over, so nearly every one repeats
+//! an earlier one. Longer schedules stay out of the batch memo; they
+//! repeat less and would grow it by thousands of keys. The free
 //! [`evaluate`] keeps the historical one-shot signature for callers that
 //! grade a single schedule (corpus replay, tests).
 //!
@@ -33,7 +39,7 @@
 //! run on it.
 
 use crate::schedule::Schedule;
-use majorcan_campaign::ProtocolSpec;
+use majorcan_campaign::{panic_message, ProtocolSpec};
 use majorcan_faults::Disturbance;
 use majorcan_testbed::{Testbed, TestbedBuilder};
 use std::collections::HashMap;
@@ -41,16 +47,6 @@ use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 pub use majorcan_testbed::{budget_for, classify, Outcome, HLP_BUDGET, LINK_BUDGET};
-
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// The testbed settings an oracle applies on top of the builder's
 /// defaults for the target and node count.
@@ -100,12 +96,12 @@ impl<K: Eq + Hash, V: Clone> OracleCore<K, V> {
             let built = catch_unwind(AssertUnwindSafe(|| {
                 settings(Testbed::builder(target).nodes(n_nodes)).build()
             }));
-            self.cached = Some((key, built.map_err(panic_text)?));
+            self.cached = Some((key, built.map_err(panic_message)?));
         }
         let testbed = &mut self.cached.as_mut().expect("testbed cached above").1;
         catch_unwind(AssertUnwindSafe(|| run(testbed))).map_err(|payload| {
             self.cached = None;
-            panic_text(payload)
+            panic_message(payload)
         })
     }
 
@@ -120,15 +116,20 @@ impl<K: Eq + Hash, V: Clone> OracleCore<K, V> {
         key: K,
         run: impl FnOnce(&mut Testbed) -> V,
     ) -> Result<V, String> {
-        if self.cached.as_ref().map(|(k, _)| *k) == Some((target, n_nodes)) {
-            if let Some(verdict) = self.memo.get(&key) {
-                return Ok(verdict.clone());
-            }
+        if let Some(verdict) = self.recall(target, n_nodes, &key) {
+            return Ok(verdict.clone());
         }
         self.judge_runs += 1;
         let verdict = self.run(target, n_nodes, settings, run)?;
         self.memo.insert(key, verdict.clone());
         Ok(verdict)
+    }
+
+    /// The verdict recorded for `key`, if the cached testbed is the one
+    /// for `(target, n_nodes)` and holds one.
+    pub(crate) fn recall(&self, target: ProtocolSpec, n_nodes: usize, key: &K) -> Option<&V> {
+        let cached = self.cached.as_ref().map(|(k, _)| *k) == Some((target, n_nodes));
+        cached.then(|| self.memo.get(key)).flatten()
     }
 
     /// Simulator runs [`OracleCore::judge`] has made over this core's
@@ -165,11 +166,13 @@ pub enum Engine {
     /// ([`run_lanes`](majorcan_testbed::Testbed::run_lanes)) — the
     /// default: random campaign schedules are prefix-free, and every
     /// one of them still shares the fault-free run up to its first
-    /// possible disturbance.
+    /// firing disturbance. A one-disturbance schedule the oracle's
+    /// verdict memo holds is answered from it instead of run.
     #[default]
     Lanes,
-    /// Schedule-by-schedule scalar hot loop — the `--scalar` escape
-    /// hatch and the reference the trunk engine is checked against.
+    /// Schedule-by-schedule scalar hot loop, memo-free — the `--scalar`
+    /// escape hatch and the reference the trunk engine and its memo are
+    /// checked against.
     Scalar,
 }
 
@@ -177,8 +180,9 @@ pub enum Engine {
 ///
 /// The cache holds the testbed of the most recent (target, node-count)
 /// pair, built with the builder's defaults. After a contained panic the
-/// cached testbed is dropped. The verdicts [`Oracle::judge`] records
-/// belong to the cached testbed and go with it.
+/// cached testbed is dropped. The verdicts [`Oracle::judge`] and
+/// [`Oracle::evaluate_batch`] record belong to the cached testbed and go
+/// with it.
 #[derive(Debug, Default)]
 pub struct Oracle {
     core: OracleCore<(u64, Vec<Disturbance>), Outcome>,
@@ -258,13 +262,20 @@ impl Oracle {
     /// returning one outcome per schedule in input order, each identical
     /// to what [`Oracle::evaluate`] would have returned.
     ///
+    /// On [`Engine::Lanes`], the verdict memo [`Oracle::judge`] fills
+    /// answers every one-disturbance schedule already judged at `budget`
+    /// on the cached testbed, a one-disturbance schedule repeated within
+    /// the batch runs once, and every one-disturbance outcome the batch
+    /// runs is recorded. Only the rest goes through `run_lanes`.
+    /// [`Engine::Scalar`] neither reads nor fills the memo.
+    ///
     /// Panic containment matches the scalar path per schedule: if the
     /// batch build or run unwinds anywhere, every schedule is evaluated
     /// one by one, so exactly the schedules that panic classify as
-    /// [`Outcome::CheckerPanic`] and the rest keep their real outcomes. A
-    /// truncated run ([`Outcome::Truncated`]) propagates through
-    /// unchanged — the campaign counters carry its `truncated` token
-    /// instead of a spurious clean verdict.
+    /// [`Outcome::CheckerPanic`] and the rest keep their real outcomes;
+    /// nothing is recorded then. A truncated run ([`Outcome::Truncated`])
+    /// propagates through unchanged — the campaign counters carry its
+    /// `truncated` token instead of a spurious clean verdict.
     pub fn evaluate_batch(
         &mut self,
         target: ProtocolSpec,
@@ -273,12 +284,7 @@ impl Oracle {
         budget: u64,
     ) -> Vec<Outcome> {
         if self.engine == Engine::Lanes {
-            let refs: Vec<&[Disturbance]> = schedules.iter().map(Schedule::disturbances).collect();
-            let run = self.core.run(target, n_nodes, defaults, |testbed| {
-                testbed.set_budget(budget);
-                testbed.run_lanes(&refs)
-            });
-            if let Ok(outcomes) = run {
+            if let Some(outcomes) = self.lanes_batch(target, schedules, n_nodes, budget) {
                 return outcomes;
             }
         }
@@ -286,6 +292,62 @@ impl Oracle {
             .iter()
             .map(|s| self.evaluate(target, s, n_nodes, budget))
             .collect()
+    }
+
+    /// [`Oracle::evaluate_batch`] on [`Engine::Lanes`]; `None` if the
+    /// batch panicked.
+    fn lanes_batch(
+        &mut self,
+        target: ProtocolSpec,
+        schedules: &[Schedule],
+        n_nodes: usize,
+        budget: u64,
+    ) -> Option<Vec<Outcome>> {
+        // `answers[i]` is schedule i's memo verdict, or else the index of
+        // the run in `runs` that answers it.
+        let mut answers: Vec<Result<Outcome, usize>> = Vec::with_capacity(schedules.len());
+        let mut runs: Vec<&[Disturbance]> = Vec::with_capacity(schedules.len());
+        // One lookup key, refilled per lookup, so a lookup allocates nothing.
+        let mut key = (budget, Vec::with_capacity(1));
+        for schedule in schedules {
+            let disturbances = schedule.disturbances();
+            if let [d] = disturbances {
+                key.1.clear();
+                key.1.push(d.clone());
+                if let Some(verdict) = self.core.recall(target, n_nodes, &key) {
+                    answers.push(Ok(verdict.clone()));
+                    continue;
+                }
+                if let Some(run) = runs.iter().position(|&r| r == disturbances) {
+                    answers.push(Err(run));
+                    continue;
+                }
+            }
+            answers.push(Err(runs.len()));
+            runs.push(disturbances);
+        }
+        let ran = if runs.is_empty() {
+            Vec::new()
+        } else {
+            self.core
+                .run(target, n_nodes, defaults, |testbed| {
+                    testbed.set_budget(budget);
+                    testbed.run_lanes(&runs)
+                })
+                .ok()?
+        };
+        for (run, outcome) in runs.iter().zip(&ran) {
+            if run.len() == 1 {
+                self.core
+                    .memo
+                    .insert((budget, run.to_vec()), outcome.clone());
+            }
+        }
+        let outcomes = answers
+            .into_iter()
+            .map(|answer| answer.unwrap_or_else(|run| ran[run].clone()))
+            .collect();
+        Some(outcomes)
     }
 }
 
@@ -514,6 +576,157 @@ mod tests {
         assert_eq!(
             oracle.evaluate(ProtocolSpec::StandardCan, &sched(vec![]), 3, LINK_BUDGET),
             Outcome::Consistent
+        );
+    }
+
+    /// One-disturbance schedules that repeat within a batch and across
+    /// batches, mixed with longer ones and an empty one.
+    fn repeating_batches() -> Vec<Vec<Schedule>> {
+        let eof = |node, bit| Disturbance::eof(node, bit);
+        let single = |d: Disturbance| sched(vec![d]);
+        vec![
+            vec![
+                single(eof(1, 6)),
+                single(eof(2, 7)),
+                single(eof(1, 6)),
+                sched(Scenario::fig3a().disturbances),
+                single(Disturbance::first(0, Field::AckSlot, 0)),
+                sched(vec![]),
+                single(eof(1, 6)),
+            ],
+            vec![
+                single(Disturbance::first(0, Field::AckSlot, 0)),
+                single(eof(2, 7)),
+                sched(vec![eof(1, 6), eof(2, 7)]),
+                single(Disturbance::stuff_bit(1, Field::Crc, 12)),
+                single(Disturbance::stuff_bit(1, Field::Crc, 12)),
+            ],
+        ]
+    }
+
+    #[test]
+    fn batch_memo_agrees_with_fresh_evaluations_across_budgets_and_targets() {
+        let mut oracle = Oracle::new();
+        // A 60-bit budget cuts every run short, and a target switch
+        // rebuilds the testbed: the memo keys on the budget and forgets
+        // the old target's verdicts.
+        for (target, budget) in [
+            (ProtocolSpec::StandardCan, LINK_BUDGET),
+            (ProtocolSpec::StandardCan, 60),
+            (ProtocolSpec::TotCan, HLP_BUDGET),
+            (ProtocolSpec::TotCan, 60),
+            (ProtocolSpec::StandardCan, LINK_BUDGET),
+            (ProtocolSpec::StandardCan, 60),
+        ] {
+            for batch in repeating_batches() {
+                let fresh: Vec<Outcome> = batch
+                    .iter()
+                    .map(|s| evaluate(target, s, 3, budget))
+                    .collect();
+                assert_eq!(
+                    oracle.evaluate_batch(target, &batch, 3, budget),
+                    fresh,
+                    "{target} at {budget} bits"
+                );
+            }
+        }
+        let single = sched(vec![Disturbance::eof(1, 6)]);
+        assert_ne!(
+            evaluate(ProtocolSpec::StandardCan, &single, 3, 60),
+            evaluate(ProtocolSpec::StandardCan, &single, 3, LINK_BUDGET),
+            "the two budgets grade the same schedule differently"
+        );
+    }
+
+    #[test]
+    fn a_batch_of_repeats_runs_no_simulation() {
+        let mut oracle = Oracle::new();
+        let target = ProtocolSpec::StandardCan;
+        let batches = repeating_batches();
+        let first = oracle.evaluate_batch(target, &batches[0], 3, LINK_BUDGET);
+        let recorded = oracle.core.memo.len();
+        assert_eq!(
+            recorded, 3,
+            "one verdict per distinct one-disturbance schedule"
+        );
+        let repeats: Vec<Schedule> = batches[0]
+            .iter()
+            .filter(|s| s.disturbances().len() == 1)
+            .cloned()
+            .collect();
+        // Leave the cached testbed at a mark no run of the batch would
+        // leave it at: 7 bits into a fault-free run.
+        let testbed = &mut oracle.core.cached.as_mut().expect("testbed cached").1;
+        testbed.set_budget(7);
+        testbed.run_schedule(&[]);
+        let expected: Vec<Outcome> = batches[0]
+            .iter()
+            .zip(&first)
+            .filter(|(s, _)| s.disturbances().len() == 1)
+            .map(|(_, o)| o.clone())
+            .collect();
+        assert_eq!(
+            oracle.evaluate_batch(target, &repeats, 3, LINK_BUDGET),
+            expected
+        );
+        let testbed = &oracle.core.cached.as_ref().expect("testbed cached").1;
+        assert_eq!(
+            (testbed.now(), testbed.budget()),
+            (7, 7),
+            "the memo answered the batch without touching the testbed"
+        );
+        assert_eq!(oracle.core.memo.len(), recorded);
+    }
+
+    #[test]
+    fn judge_answers_what_the_batch_recorded() {
+        let mut oracle = Oracle::new();
+        let target = ProtocolSpec::MinorCan;
+        let batch = &repeating_batches()[1];
+        let outcomes = oracle.evaluate_batch(target, batch, 3, LINK_BUDGET);
+        for (s, outcome) in batch.iter().zip(&outcomes) {
+            if s.disturbances().len() == 1 {
+                assert_eq!(
+                    &oracle.judge(target, s.disturbances(), 3, LINK_BUDGET),
+                    outcome,
+                    "{s}"
+                );
+            }
+        }
+        assert_eq!(oracle.judge_runs(), 0, "every judgement came from the memo");
+        // Longer schedules stay out of the batch memo.
+        oracle.judge(target, batch[2].disturbances(), 3, LINK_BUDGET);
+        assert_eq!(oracle.judge_runs(), 1);
+    }
+
+    #[test]
+    fn batch_memo_records_no_panic_and_scalar_records_nothing() {
+        let batch = &repeating_batches()[0];
+        let mut oracle = Oracle::new();
+        oracle.evaluate_batch(ProtocolSpec::StandardCan, batch, 3, LINK_BUDGET);
+        assert!(!oracle.core.memo.is_empty());
+        let panicked =
+            oracle.evaluate_batch(ProtocolSpec::MajorCan { m: 2 }, batch, 3, LINK_BUDGET);
+        assert!(
+            panicked
+                .iter()
+                .all(|o| matches!(o, Outcome::CheckerPanic(_))),
+            "{panicked:?}"
+        );
+        assert!(
+            oracle.core.memo.is_empty(),
+            "a panic verdict is never recorded"
+        );
+
+        let mut scalar = Oracle::with_engine(Engine::Scalar);
+        let outcomes = scalar.evaluate_batch(ProtocolSpec::StandardCan, batch, 3, LINK_BUDGET);
+        assert_eq!(
+            outcomes,
+            Oracle::new().evaluate_batch(ProtocolSpec::StandardCan, batch, 3, LINK_BUDGET)
+        );
+        assert!(
+            scalar.core.memo.is_empty(),
+            "the scalar engine stays memo-free"
         );
     }
 }

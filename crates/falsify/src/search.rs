@@ -52,9 +52,11 @@ pub struct SearchConfig {
     /// queue admits four times this many raw findings per class.
     pub keep_per_class: usize,
     /// Which engine [`Oracle::evaluate_batch`] routes each job's
-    /// schedules through — one shared fault-free trunk per job by
-    /// default, with `--scalar` as the determinism gate (results must be
-    /// identical whichever engine runs).
+    /// schedules through — by default one shared fault-free trunk per
+    /// job, with one-disturbance repeats answered from each worker
+    /// oracle's verdict memo; `--scalar` runs every schedule alone,
+    /// memo-free, as the determinism gate (results must be identical
+    /// whichever engine runs).
     pub engine: Engine,
 }
 

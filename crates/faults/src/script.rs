@@ -135,6 +135,28 @@ impl ScriptedFaults {
             .extend(disturbances.iter().map(|d| (d.clone(), 0)));
     }
 
+    /// As [`ScriptedFaults::reload`], but the script resumes a run in
+    /// which entry `i` has already been visited `visits[i]` times without
+    /// firing: the state a run holds at a bit before any of its entries
+    /// fired. Every entry stays pending, so [`ScriptedFaults::unfired`]
+    /// still reports the whole script until an entry fires. The testbed's
+    /// batch peel resumes a schedule this way from the shared fault-free
+    /// trunk at the bit where the schedule's first entry fires.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `visits` and `disturbances` differ in length.
+    pub fn reload_visited(&mut self, disturbances: &[Disturbance], visits: &[u32]) {
+        assert_eq!(
+            disturbances.len(),
+            visits.len(),
+            "one visit count per entry"
+        );
+        self.pending.clear();
+        self.pending
+            .extend(disturbances.iter().cloned().zip(visits.iter().copied()));
+    }
+
     /// Number of disturbances not yet fired.
     pub fn remaining(&self) -> usize {
         self.pending.len()
@@ -324,6 +346,30 @@ mod tests {
         assert!(visit(&mut second_then_first, 0), "occurrence 1 fires");
         assert!(visit(&mut second_then_first, 1), "occurrence 2 fires");
         assert!(second_then_first.exhausted());
+    }
+
+    /// A script reloaded with visit counts resumes mid-run: an entry
+    /// fires after its remaining visits, and every entry counts as
+    /// unfired until it does.
+    #[test]
+    fn reload_visited_resumes_the_visit_counts() {
+        let at = |occurrence| Disturbance {
+            occurrence,
+            ..Disturbance::eof(1, 1)
+        };
+        let visit =
+            |s: &mut ScriptedFaults| s.disturb(0, NodeId(1), &pos(Field::Eof, 0), Level::Recessive);
+        let mut s = ScriptedFaults::new(vec![Disturbance::eof(0, 2)]);
+        s.reload_visited(&[at(3), at(4)], &[1, 2]);
+        assert_eq!(s.unfired(), vec![at(3), at(4)], "nothing fired yet");
+        assert!(!visit(&mut s), "occurrence 3 has seen two visits");
+        assert!(visit(&mut s), "occurrence 3 fires on the third");
+        assert_eq!(s.unfired(), vec![at(4)]);
+        assert!(
+            visit(&mut s),
+            "occurrence 4: two preloaded visits, one counted, one hidden, now the fourth"
+        );
+        assert!(s.exhausted());
     }
 
     #[test]

@@ -10,46 +10,57 @@
 //!
 //! The falsifier's random fault models produce mostly prefix-free
 //! schedules, yet every one of them shares something: until a
-//! schedule's first disturbance can possibly fire, its run is
-//! **bit-identical to the fault-free run**. A batch exploits exactly
-//! that:
+//! schedule's first disturbance fires, its run is **bit-identical to the
+//! fault-free run**. A batch exploits exactly that:
 //!
-//! 1. **Scalar first.** Schedules targeting a field in
-//!    [`NO_FORK_FIELDS`] (a pre-step look could miss a match there) or a
-//!    node that is not on the bus run scalar whole.
+//! 1. **Scalar first.** Schedules with an entry on a field in
+//!    [`NO_FORK_FIELDS`] (a pre-step look could miss a visit there, or
+//!    count one that never happens) or on a node that is not on the bus
+//!    run scalar whole.
 //! 2. **Trunk** — every other schedule rides one run of the *fault-free*
-//!    cluster. Before each bit, the trunk records the `(node, field)`
-//!    pairs the nodes' pre-step tags show for the first time; a riding
-//!    schedule with an entry on such a pair **peels** there: a snapshot
-//!    is taken at that bit (shared by everything peeling there), and the
-//!    schedule finishes later on the scalar path with its full script
-//!    reloaded from the snapshot.
-//! 3. **Survivors** — schedules still riding when the trunk stops are
-//!    classified straight from the trunk: their script never fired
-//!    (every entry unfired), so the trunk's verdict, quiescence cut and
-//!    truncation status are exactly theirs.
+//!    cluster. Before each bit, the trunk reads every node's pre-step
+//!    tag. Once one of a riding schedule's `(node, field)` pairs has
+//!    shown, the trunk matches the schedule's entries against those tags
+//!    in full (field, index and stuff) and counts each entry's visits
+//!    exactly as [`ScriptedFaults`] would before anything fires. At the
+//!    bit where one of its entries would fire, the schedule **peels**: it
+//!    resumes from the trunk's state at that bit with its script reloaded
+//!    with the counted visits ([`ScriptedFaults::reload_visited`]) and
+//!    finishes on the scalar path. Schedules that fire at the same bit
+//!    share one snapshot, from which the trunk itself resumes afterwards.
+//! 3. **Survivors** — schedules still riding when the trunk stops (the
+//!    bus settled, or the budget elapsed) never fired, and are classified
+//!    straight from the trunk: every entry unfired, and the trunk's
+//!    verdict, quiescence cut and truncation status are exactly theirs.
 //!
-//! Why the peel is sound: a scripted disturbance fires only on a full
-//! `(node, field, index, stuff)` match, and for every field outside
-//! [`NO_FORK_FIELDS`] the disturb-time field equals the pre-step field
-//! (checked bit by bit on every stack by this module's unit test,
-//! including the frames higher-level-protocol layers queue from
-//! `observe`). The peel bit is the *first* bit where any of the
-//! schedule's `(node, field)` pairs matches pre-step — so at that bit
-//! none of the schedule's entries has matched (let alone fired), the
-//! trunk state equals the schedule's scalar state bit-for-bit, and
-//! `restore + reload(full schedule) + run` is the scalar run. Peeling
-//! earlier than strictly necessary (the peel is field-granular, ignoring
-//! index/stuff) only costs trunk sharing, never correctness. Runs finish
-//! through [`Simulator::run`], which leaps the bus fixpoint, and every
-//! frame sent once the schedule's script has fully fired, exactly as the
-//! scalar path does. Gated by `tests/lane_equivalence.rs` and the
+//! Why the peel is exact: a scripted entry counts a visit, or fires,
+//! only on a full `(node, field, index, stuff)` match with the tag its
+//! node shows the channel at disturb time. On a fault-free run, that tag
+//! is the node's pre-step tag wherever either lies outside
+//! [`NO_FORK_FIELDS`]: the one exception is a node starting a queued
+//! frame, which shows `Idle` before the step and `Sof` to the channel.
+//! `AgreementHold` and `ExtendedFlag` take their index from the drive
+//! clock, so their pre-step index lags by one bit; the trunk is sound
+//! only because a fault-free run never shows them. This module's unit
+//! test checks all of it bit by bit on every stack, including the frames
+//! higher-level-protocol layers queue from `observe`. So until a riding
+//! schedule's first entry fires, the trunk's state is the schedule's
+//! scalar state bit for bit and the trunk's counts are its script's, and
+//! `restore + reload_visited + run` from the firing bit is the scalar
+//! run. A settled trunk ends the ride: no rider has an entry an idle
+//! (`Idle`) or crashed node could match, so the scalar run of a
+//! survivor leaps the rest of the budget too. Runs finish through
+//! [`Simulator::run`], which leaps the bus fixpoint, and every frame sent
+//! once the schedule's script has fully fired, exactly as the scalar
+//! path does. Gated by `tests/lane_equivalence.rs` and the
 //! batch-vs-scalar diffs in `scripts/check.sh`.
 //!
 //! [`Testbed::run_lanes`]: crate::Testbed::run_lanes
 //! [`Testbed::run_schedule`]: crate::Testbed::run_schedule
 //! [`Testbed::run_attack`]: crate::Testbed::run_attack
 //! [`Simulator::run`]: majorcan_sim::Simulator::run
+//! [`ScriptedFaults`]: majorcan_faults::ScriptedFaults
+//! [`ScriptedFaults::reload_visited`]: majorcan_faults::ScriptedFaults::reload_visited
 
 use crate::channel::BusChannel;
 use crate::outcome::{classify, Outcome};
@@ -58,15 +69,16 @@ use majorcan_abcast::{check_can_events, Verdict};
 use majorcan_can::{Controller, Field, Variant, WirePos};
 use majorcan_faults::{scenario_frame, AttackAction, Disturbance};
 use majorcan_hlp::{trace_from_hlp_events, HlpLayer, HlpNode};
-use majorcan_sim::{BitNode, NodeId, SimSnapshot, Simulator};
+use majorcan_sim::{BitNode, NodeId, Simulator};
 
-/// Fields that keep a schedule off the trunk: `drive` can enter them
-/// (`Sof` from `Idle` as a queued frame starts, `Crashed` from any field
-/// under a scheduled crash), so a node's disturb-time field may be one of
-/// these while its pre-step field is not, and the pre-step look would
-/// miss the match. The unit test below checks that `drive` enters no
-/// other field.
-const NO_FORK_FIELDS: &[Field] = &[Field::Sof, Field::Crashed];
+/// Fields that keep a schedule off the trunk: a node's pre-step tag and
+/// the tag it shows the channel can differ there, so a pre-step look
+/// could miss a visit or count one that never happens. `drive` enters
+/// `Sof` from `Idle` as a queued frame starts, and `Crashed` from any
+/// field under a scheduled crash; on a fault-free run, `Idle` is the one
+/// field it leaves. The unit test below checks that `drive` enters and,
+/// fault-free, leaves no other field.
+const NO_FORK_FIELDS: &[Field] = &[Field::Sof, Field::Crashed, Field::Idle];
 
 pub(crate) type Sim<N> = Simulator<N, BusChannel>;
 
@@ -216,8 +228,8 @@ pub(crate) fn run_one<N: Stack>(
 /// Evaluates every schedule in `schedules` and returns their outcomes in
 /// input order, each bit-identical to `Testbed::run_schedule` on the same
 /// (reused) testbed: scalar-only schedules first, then the shared
-/// fault-free trunk, survivor classification, and peeled-schedule
-/// replays.
+/// fault-free trunk with each rider peeled off at its first firing bit,
+/// then the survivors, graded from the trunk.
 pub(crate) fn run_lanes<N: Stack>(
     sim: &mut Sim<N>,
     n_nodes: usize,
@@ -226,7 +238,9 @@ pub(crate) fn run_lanes<N: Stack>(
 ) -> Vec<Outcome> {
     sim.set_record_trace(false);
     let mut outcomes: Vec<Option<Outcome>> = vec![None; schedules.len()];
-    let mut riding = Vec::with_capacity(schedules.len());
+    // A rider is `(schedule, offset of its entries' counts in visits)`.
+    let mut riding: Vec<(usize, usize)> = Vec::with_capacity(schedules.len());
+    let mut entries = 0;
     for (i, schedule) in schedules.iter().enumerate() {
         if schedule
             .iter()
@@ -234,41 +248,88 @@ pub(crate) fn run_lanes<N: Stack>(
         {
             outcomes[i] = Some(run_one(sim, n_nodes, budget, Load::Script(schedule)));
         } else {
-            riding.push(i);
+            riding.push((i, entries));
+            entries += schedule.len();
         }
     }
+    let mut visits = vec![0u32; entries];
 
-    // The trunk: the fault-free run every riding schedule shares. A
-    // riding schedule has no entry on a pair seen at an earlier bit (it
-    // would have peeled there), so "an entry on a seen pair" picks out
-    // exactly the schedules with an entry on a pair first seen now.
+    // The trunk: the fault-free run every rider shares. A rider is
+    // `watched` (its entries matched bit by bit) from the first bit one of
+    // its `(node, field)` pairs shows; before that none of its entries
+    // can match.
     let pair = |node: usize, field: Field| node * Field::ALL.len() + field.ordinal();
     let mut seen = vec![false; n_nodes * Field::ALL.len()];
-    let mut snapshots: Vec<SimSnapshot<N, BusChannel>> = Vec::new();
-    let mut peeled: Vec<(usize, usize)> = Vec::new(); // (snapshot, schedule)
+    let mut tags: Vec<WirePos> = Vec::with_capacity(n_nodes);
+    let mut watched: Vec<(usize, usize)> = Vec::with_capacity(riding.len());
+    let mut firing: Vec<(usize, usize)> = Vec::new();
     load(sim, Load::Script(&[]));
-    while !riding.is_empty() && sim.now() < budget {
+    while !(riding.is_empty() && watched.is_empty()) && sim.now() < budget {
+        tags.clear();
         let mut fresh = false;
         for (node, n) in sim.nodes().enumerate() {
-            let slot = &mut seen[pair(node, n.tag().field)];
+            let tag = n.tag();
+            let slot = &mut seen[pair(node, tag.field)];
             fresh |= !*slot;
             *slot = true;
+            tags.push(tag);
         }
         if fresh {
-            let before = peeled.len();
-            riding.retain(|&i| {
-                let peels = schedules[i].iter().any(|d| seen[pair(d.node, d.field)]);
-                if peels {
-                    peeled.push((snapshots.len(), i));
+            riding.retain(|&(i, at)| {
+                let shown = schedules[i].iter().any(|d| seen[pair(d.node, d.field)]);
+                if shown {
+                    watched.push((i, at));
                 }
-                !peels
+                !shown
             });
-            if peeled.len() > before {
-                snapshots.push(sim.snapshot());
+        }
+        // Match every watched rider's entries against this bit's tags:
+        // a rider with an entry that fires here peels with its counts as
+        // they stand before this bit; every other rider counts the visits.
+        watched.retain(|&(i, at)| {
+            let schedule = schedules[i];
+            let counts = &mut visits[at..at + schedule.len()];
+            let hit = |d: &Disturbance| {
+                let tag = &tags[d.node];
+                d.field == tag.field && d.index == tag.index && d.stuff == tag.stuff
+            };
+            let fires = schedule
+                .iter()
+                .zip(counts.iter())
+                .any(|(d, &count)| hit(d) && count + 1 >= d.occurrence);
+            if fires {
+                firing.push((i, at));
+            } else {
+                for (d, count) in schedule.iter().zip(counts.iter_mut()) {
+                    *count += u32::from(hit(d));
+                }
             }
-            if riding.is_empty() {
+            !fires
+        });
+        if !firing.is_empty() {
+            // The trunk's state is every firing rider's state: the first
+            // resumes on it in place, the others, and then the trunk,
+            // from one snapshot.
+            let rest = !(riding.is_empty() && watched.is_empty());
+            let snapshot = (rest || firing.len() > 1).then(|| sim.snapshot());
+            for (k, &(i, at)) in firing.iter().enumerate() {
+                if k > 0 {
+                    sim.restore_from(snapshot.as_ref().expect("taken for a second rider"));
+                }
+                let schedule = schedules[i];
+                outcomes[i] = Some(resume(
+                    sim,
+                    n_nodes,
+                    budget,
+                    schedule,
+                    &visits[at..at + schedule.len()],
+                ));
+            }
+            firing.clear();
+            if !rest {
                 break;
             }
+            sim.restore_from(snapshot.as_ref().expect("taken while riders remain"));
         }
         sim.step();
         if sim.quiet_horizon() >= budget {
@@ -276,34 +337,38 @@ pub(crate) fn run_lanes<N: Stack>(
         }
     }
 
-    // Survivors first — their verdict lives in the trunk's event log,
-    // which the replays below clobber. No entry of theirs ever fired, so
-    // the whole schedule counts unfired, and the trunk's truncation
-    // status is theirs too.
-    if !riding.is_empty() {
+    // Survivors: no entry of theirs ever fired, so the whole schedule
+    // counts unfired, and the trunk's verdict and truncation status are
+    // theirs too.
+    if !(riding.is_empty() && watched.is_empty()) {
         let verdict = N::verdict(sim, n_nodes);
         let cut = N::truncated(sim, budget);
-        for &i in &riding {
+        for &(i, _) in riding.iter().chain(&watched) {
             outcomes[i] = Some(classify(verdict, schedules[i].len()).truncate_if(cut));
         }
-    }
-
-    // Peeled schedules, grouped by snapshot: each replays from its peel
-    // bit with its full schedule (nothing has fired yet at the peel bit,
-    // so a fresh reload is the scalar run).
-    for &(snap, i) in &peeled {
-        sim.restore_from(&snapshots[snap]);
-        match sim.channel_mut() {
-            BusChannel::Scripted(script) => script.reload(schedules[i]),
-            _ => unreachable!("the trunk loaded a scripted channel"),
-        }
-        sim.run(budget - sim.now());
-        outcomes[i] = Some(outcome_of(sim, n_nodes, budget));
     }
     outcomes
         .into_iter()
         .map(|o| o.expect("every schedule classified"))
         .collect()
+}
+
+/// Finishes a rider peeled at the trunk's current bit: reloads its
+/// script with the visits the trunk counted for it, runs out the budget
+/// and grades the run.
+fn resume<N: Stack>(
+    sim: &mut Sim<N>,
+    n_nodes: usize,
+    budget: u64,
+    schedule: &[Disturbance],
+    visits: &[u32],
+) -> Outcome {
+    match sim.channel_mut() {
+        BusChannel::Scripted(script) => script.reload_visited(schedule, visits),
+        _ => unreachable!("the trunk loaded a scripted channel"),
+    }
+    sim.run(budget - sim.now());
+    outcome_of(sim, n_nodes, budget)
 }
 
 #[cfg(test)]
@@ -323,18 +388,18 @@ mod tests {
 
     const N_NODES: usize = 3;
 
-    /// A scripted channel that records the field every node reports at
-    /// disturb time, one entry per node per stepped bit. With `ack_hammer`
-    /// it also flips node 0's view of every ACK slot.
+    /// A scripted channel that records the tag every node shows at
+    /// disturb time, one entry per node per stepped bit. With
+    /// `ack_hammer` it also flips node 0's view of every ACK slot.
     struct Recording {
         script: ScriptedFaults,
         ack_hammer: bool,
-        fields: Vec<Field>,
+        tags: Vec<WirePos>,
     }
 
     impl ChannelModel<WirePos> for Recording {
         fn disturb(&mut self, bit: u64, node: NodeId, tag: &WirePos, wire: Level) -> bool {
-            self.fields.push(tag.field);
+            self.tags.push(*tag);
             let hammered = self.ack_hammer && node == NodeId(0) && tag.field == Field::AckSlot;
             self.script.disturb(bit, node, tag, wire) || hammered
         }
@@ -342,6 +407,15 @@ mod tests {
         fn quiet_until(&self, now: u64) -> u64 {
             self.script.quiet_until(now)
         }
+    }
+
+    /// Where `drive` moved the nodes' tags over the checked runs.
+    #[derive(Default)]
+    struct Moves {
+        /// Fields `drive` moved a node into, on any run.
+        entered: BTreeSet<Field>,
+        /// Fields `drive` moved a node out of, on fault-free runs.
+        left: BTreeSet<Field>,
     }
 
     /// One stack: its protocol, and how to build node `i` with a given
@@ -356,20 +430,24 @@ mod tests {
         /// under `schedule`, `crash` arms a scheduled crash) until it
         /// settles or the budget elapses. At every bit, a node's
         /// disturb-time field must be its pre-step field or a
-        /// [`NO_FORK_FIELDS`] member; the fields `drive` entered go into
-        /// `entered`. Returns the finished run.
+        /// [`NO_FORK_FIELDS`] member. A fault-free run (no schedule, no
+        /// crash, no hammer) is the trunk, and holds more: the full
+        /// disturb-time tag is the pre-step tag unless both lie in
+        /// [`NO_FORK_FIELDS`], and no node ever shows `AgreementHold` or
+        /// `ExtendedFlag`, whose pre-step index lags the drive clock.
+        /// Returns the finished run.
         fn check_run(
             &self,
             shutoff_at_warning: bool,
             schedule: &[Disturbance],
             crash: Option<(usize, u64)>,
             ack_hammer: bool,
-            entered: &mut BTreeSet<Field>,
+            moves: &mut Moves,
         ) -> Simulator<N, Recording> {
             let mut sim = Simulator::new(Recording {
                 script: ScriptedFaults::new(schedule.to_vec()),
                 ack_hammer,
-                fields: Vec::new(),
+                tags: Vec::new(),
             });
             for i in 0..N_NODES {
                 let config = ControllerConfig {
@@ -379,23 +457,45 @@ mod tests {
                 sim.attach((self.make)(i, config));
             }
             sim.node_mut(NodeId(0)).stimulus();
+            let fault_free = schedule.is_empty() && crash.is_none() && !ack_hammer;
             let budget = budget_for(self.spec);
             let mut pre = Vec::with_capacity(N_NODES);
             while sim.now() < budget && sim.quiet_horizon() < budget {
                 pre.clear();
-                pre.extend(sim.nodes().map(|n| n.tag().field));
-                sim.channel_mut().fields.clear();
+                pre.extend(sim.nodes().map(|n| n.tag()));
+                sim.channel_mut().tags.clear();
                 let bit = sim.now();
                 sim.step();
-                for (node, (&before, &at)) in pre.iter().zip(&sim.channel().fields).enumerate() {
-                    if before != at {
-                        assert!(
-                            NO_FORK_FIELDS.contains(&at),
-                            "{}: drive moved node {node} from {before} to {at} at bit {bit} \
+                for (node, (before, at)) in pre.iter().zip(&sim.channel().tags).enumerate() {
+                    let moved = || {
+                        format!(
+                            "{}: drive moved node {node} from {before:?} to {at:?} at bit {bit} \
                              under {schedule:?}, crash {crash:?}",
                             self.spec
-                        );
-                        entered.insert(at);
+                        )
+                    };
+                    if before.field != at.field {
+                        assert!(NO_FORK_FIELDS.contains(&at.field), "{}", moved());
+                        moves.entered.insert(at.field);
+                    }
+                    if fault_free {
+                        for tag in [before, at] {
+                            assert!(
+                                !matches!(tag.field, Field::AgreementHold | Field::ExtendedFlag),
+                                "{}: a fault-free run shows {}",
+                                moved(),
+                                tag.field
+                            );
+                        }
+                        if before != at {
+                            assert!(
+                                NO_FORK_FIELDS.contains(&before.field)
+                                    && NO_FORK_FIELDS.contains(&at.field),
+                                "{}: the fault-free trunk would count this visit wrong",
+                                moved()
+                            );
+                            moves.left.insert(before.field);
+                        }
                     }
                 }
             }
@@ -403,17 +503,17 @@ mod tests {
         }
 
         /// The generated schedules and crash scripts of the property,
-        /// and the ACK-slot hammer.
-        fn check(&self, entered: &mut BTreeSet<Field>) {
+        /// the fault-free run and the ACK-slot hammer.
+        fn check(&self, moves: &mut Moves) {
             let geo = Geometry::for_protocol(self.spec, N_NODES);
             let mut rng = StdRng::seed_from_u64(0x5EED_F1E1D);
             for _ in 0..300 {
                 let schedule = generate(&mut rng, &geo, 4);
-                self.check_run(true, schedule.disturbances(), None, false, entered);
+                self.check_run(true, schedule.disturbances(), None, false, moves);
             }
             for node in 0..N_NODES {
                 for at in (0..200).step_by(3) {
-                    self.check_run(true, &[], Some((node, at)), false, entered);
+                    self.check_run(true, &[], Some((node, at)), false, moves);
                 }
             }
             // The ACK-slot hammer: the transmitter's every attempt loses
@@ -421,15 +521,16 @@ mod tests {
             // and, with the shutoff off, through error-passive to bus-off
             // and recovery.
             for shutoff_at_warning in [true, false] {
-                self.check_run(shutoff_at_warning, &[], None, true, entered);
+                self.check_run(shutoff_at_warning, &[], None, false, moves);
+                self.check_run(shutoff_at_warning, &[], None, true, moves);
             }
         }
     }
 
-    fn check_link<V: Variant>(variant: V, entered: &mut BTreeSet<Field>) {
+    fn check_link<V: Variant>(variant: V, moves: &mut Moves) {
         let make = |_, config| Controller::with_config(variant.clone(), config);
         let spec = spec_of(&variant);
-        Cluster { spec, make }.check(entered);
+        Cluster { spec, make }.check(moves);
     }
 
     /// [`Cluster::check`] on a higher-level-protocol stack, plus a
@@ -438,19 +539,19 @@ mod tests {
     fn check_hlp<L: HlpLayer + Clone>(
         spec: ProtocolSpec,
         layer: fn() -> L,
-        entered: &mut BTreeSet<Field>,
+        moves: &mut Moves,
     ) -> Vec<TimedEvent<HlpEvent>> {
         let make = |i, config| HlpNode::with_config(layer(), i, config);
         let cluster = Cluster { spec, make };
-        cluster.check(entered);
-        let clean = cluster.check_run(true, &[], None, false, entered);
+        cluster.check(moves);
+        let clean = cluster.check_run(true, &[], None, false, moves);
         let data_sent = clean
             .events()
             .iter()
             .find(|e| matches!(e.event, HlpEvent::Link(CanEvent::TxSucceeded { .. })))
             .expect("the DATA frame went out")
             .at;
-        let crashed = cluster.check_run(true, &[], Some((0, data_sent + 1)), false, entered);
+        let crashed = cluster.check_run(true, &[], Some((0, data_sent + 1)), false, moves);
         crashed.events().to_vec()
     }
 
@@ -464,27 +565,30 @@ mod tests {
     }
 
     /// The invariant the trunk's peel rests on, and the reason
-    /// [`NO_FORK_FIELDS`] lists what it lists: outside those fields, a
-    /// node's field at disturb time is its field before the step, on all
-    /// six stacks (higher-level-protocol layers queue frames from
-    /// `observe`: ACCEPT, CONFIRM, duplicates). Every listed field must
-    /// also be seen entered, so the list stays minimal.
+    /// [`NO_FORK_FIELDS`] lists what it lists: on a fault-free run, a
+    /// node's tag at disturb time is its tag before the step wherever
+    /// either lies outside those fields, on all six stacks
+    /// (higher-level-protocol layers queue frames from `observe`: ACCEPT,
+    /// CONFIRM, duplicates); on any run, a node's disturb-time field is
+    /// its pre-step field or one of them. Every listed field must also be
+    /// seen entered, or left on a fault-free run, so the list stays
+    /// minimal.
     #[test]
     fn drive_enters_only_no_fork_fields() {
-        let mut entered = BTreeSet::new();
-        check_link(StandardCan, &mut entered);
-        check_link(MinorCan, &mut entered);
+        let mut moves = Moves::default();
+        check_link(StandardCan, &mut moves);
+        check_link(MinorCan, &mut moves);
         for m in [3, 5] {
-            check_link(MajorCan::new(m).expect("valid tolerance"), &mut entered);
+            check_link(MajorCan::new(m).expect("valid tolerance"), &mut moves);
         }
-        let edcan = check_hlp(ProtocolSpec::EdCan, EdCan::new, &mut entered);
+        let edcan = check_hlp(ProtocolSpec::EdCan, EdCan::new, &mut moves);
         assert!(receiver_duplicated(&edcan), "EDCAN receivers flood");
-        let relcan = check_hlp(ProtocolSpec::RelCan, RelCan::new, &mut entered);
+        let relcan = check_hlp(ProtocolSpec::RelCan, RelCan::new, &mut moves);
         assert!(
             receiver_duplicated(&relcan),
             "RELCAN receivers time out on the CONFIRM and send duplicates"
         );
-        let totcan = check_hlp(ProtocolSpec::TotCan, TotCan::new, &mut entered);
+        let totcan = check_hlp(ProtocolSpec::TotCan, TotCan::new, &mut moves);
         let dropped = totcan
             .iter()
             .filter(|e| matches!(e.event, HlpEvent::Dropped { .. }))
@@ -495,6 +599,10 @@ mod tests {
             "TOTCAN receivers time out on the ACCEPT"
         );
         let listed: BTreeSet<Field> = NO_FORK_FIELDS.iter().copied().collect();
-        assert_eq!(entered, listed, "every no-fork field is entered by drive");
+        let moved: BTreeSet<Field> = moves.entered.union(&moves.left).copied().collect();
+        assert_eq!(
+            moved, listed,
+            "every no-fork field is entered by drive, or left on a fault-free run"
+        );
     }
 }

@@ -124,7 +124,7 @@ enum ClusterSnapshot {
 /// is bit-identical to never having left it. The simulator-level capture
 /// underneath ([`SimSnapshot`]) is what [`Testbed::run_lanes`] peels
 /// schedules with: each resumes from the shared fault-free trunk at the
-/// first bit its script could fire instead of replaying from bit zero.
+/// bit its script first fires instead of replaying from bit zero.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     protocol: ProtocolSpec,
@@ -603,11 +603,17 @@ impl Testbed {
     /// [`Testbed::run_schedule`] would return for it on this testbed.
     ///
     /// The batch shares one fault-free trunk, on link and
-    /// higher-level-protocol clusters alike: while a schedule's script
-    /// cannot have fired, its run is bit-identical to the fault-free run,
-    /// so the trunk is stepped once for all of them and each schedule is
-    /// peeled off to the scalar path (from a snapshot) at the first bit
-    /// where its script could fire.
+    /// higher-level-protocol clusters alike: until a schedule's script
+    /// fires, its run is bit-identical to the fault-free run, so the trunk
+    /// is stepped once for all of them. The trunk counts each schedule's
+    /// visits to its scripted positions from the nodes' pre-step tags, and
+    /// peels the schedule off to the scalar path, from a snapshot and with
+    /// those counts reloaded, at the bit where its first disturbance
+    /// fires. A schedule that never fires before the trunk settles (or
+    /// the budget elapses) is graded from the trunk itself. Schedules
+    /// with an entry on `Sof`, `Crashed` or `Idle`, where a node's
+    /// pre-step tag can differ from the tag it shows the channel, or on a
+    /// node off the bus, run scalar whole.
     pub fn run_lanes(&mut self, schedules: &[&[Disturbance]]) -> Vec<Outcome> {
         let (n_nodes, budget) = (self.n_nodes, self.budget);
         each_sim!(&mut self.cluster, sim => lanes::run_lanes(sim, n_nodes, budget, schedules))

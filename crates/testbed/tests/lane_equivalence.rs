@@ -8,11 +8,11 @@
 //!
 //! The schedule generator deliberately covers the awkward cases: empty
 //! schedules, duplicate schedules, occurrence-2 and stuff-bit entries,
-//! the no-fork fields (`Sof`, `Crashed`), which must take the scalar
-//! path before the trunk even starts, and the integration, idle and
-//! bus-off fields, which ride the trunk. Dedicated tests cover a batch
-//! larger than any production batch and a testbed left with an armed
-//! attacker channel.
+//! the no-fork fields (`Sof`, `Crashed`, `Idle`), which must take the
+//! scalar path before the trunk even starts, and the integration and
+//! bus-off fields, which ride the trunk. Dedicated tests cover the
+//! visit counting of the exact-fire peel, a batch larger than any
+//! production batch and a testbed left with an armed attacker channel.
 
 use majorcan_campaign::ProtocolSpec;
 use majorcan_can::{CanEvent, Field};
@@ -40,9 +40,9 @@ const LINK_PROTOCOLS: [ProtocolSpec; 3] = [
 ];
 
 /// Every field class the falsifier's generator reaches, the no-fork
-/// fields (`Sof`, `Crashed`) whose schedules take the scalar path whole,
-/// and the fields only a node outside a frame shows (`Integrating`,
-/// `Idle`, `BusOff`), which ride the trunk.
+/// fields (`Sof`, `Crashed`, `Idle`) whose schedules take the scalar path
+/// whole, and the other fields only a node outside a frame shows
+/// (`Integrating`, `BusOff`), which ride the trunk.
 const FIELDS: [Field; 15] = [
     Field::Integrating,
     Field::Idle,
@@ -69,7 +69,7 @@ fn arb_disturbance() -> impl Strategy<Value = Disturbance> {
             Disturbance::first(node, FIELDS[field], index)
         };
         if salt % 5 == 0 {
-            d.occurrence = 2;
+            d.occurrence = 2 + salt % 2;
         }
         d
     })
@@ -208,6 +208,76 @@ proptest! {
     }
 }
 
+/// The cases the exact-fire peel's visit counting must get right, on
+/// frame-tail positions every stack's fault-free run shows: entries at
+/// occurrence 2 and 3, two entries on one position in both orders (a
+/// firing entry hides its bit from the entries after it), entries of
+/// two nodes firing and counting on the same bit, `Idle` entries at
+/// occurrence 2 and up (scalar-first: a node starting a frame shows
+/// `Idle` before the step and `Sof` to the channel), entries that never
+/// fire, and a first fire on the trunk's last stepped bit, the last
+/// intermission bit, which the never-firing schedules keep the trunk
+/// running to.
+fn exact_peel_pool() -> Vec<Vec<Disturbance>> {
+    let at = |node, field, index, occurrence| Disturbance {
+        occurrence,
+        ..Disturbance::first(node, field, index)
+    };
+    let positions = [
+        (Field::Crc, 12),
+        (Field::CrcDelim, 0),
+        (Field::AckSlot, 0),
+        (Field::Eof, 3),
+        (Field::Intermission, 1),
+    ];
+    let mut pool = Vec::new();
+    for (field, index) in positions {
+        for node in 0..3 {
+            let other = (node + 1) % 3;
+            for occ in [2, 3] {
+                pool.push(vec![at(node, field, index, occ)]);
+            }
+            for (a, b) in [(1, 2), (2, 1), (1, 3), (3, 1)] {
+                pool.push(vec![at(node, field, index, a), at(node, field, index, b)]);
+            }
+            pool.push(vec![at(other, field, index, 2), at(node, field, index, 1)]);
+            pool.push(vec![at(node, field, index, 1), at(other, field, index, 3)]);
+        }
+    }
+    for node in 0..3 {
+        for occ in 2..=4 {
+            pool.push(vec![at(node, Field::Idle, 0, occ)]);
+            pool.push(vec![
+                at(node, Field::Eof, 3, 1),
+                at(node, Field::Idle, 0, occ),
+            ]);
+            pool.push(vec![at(node, Field::Intermission, 2, occ - 1)]);
+        }
+        pool.push(vec![
+            at(node, Field::Intermission, 2, 1),
+            at(node, Field::Eof, 3, 2),
+        ]);
+    }
+    // Never fire on the trunk: a position the fault-free run never
+    // shows, an occurrence it never reaches, an index past the field.
+    pool.push(vec![at(1, Field::AgreementHold, 13, 1)]);
+    pool.push(vec![at(2, Field::Eof, 3, 9)]);
+    pool.push(vec![at(0, Field::ErrorFlag, 5, 1), at(1, Field::Id, 40, 1)]);
+    pool
+}
+
+/// The exact-fire pool classifies like the scalar loop on all six
+/// stacks, in one batch and again on the warm testbed.
+#[test]
+fn exact_fire_peel_counts_visits_like_the_script() {
+    let pool = exact_peel_pool();
+    for protocol in ALL_PROTOCOLS {
+        let mut tb = Testbed::builder(protocol).nodes(3).build();
+        assert_batch_matches_scalar(&mut tb, &pool);
+        assert_batch_matches_scalar(&mut tb, &pool);
+    }
+}
+
 /// One batch larger than any production batch (a falsifier job runs at
 /// most 50 schedules): 145 schedules share one trunk, with outcomes
 /// still in input order and scalar-identical, on all six stacks.
@@ -254,10 +324,10 @@ fn assert_batch_matches_scalar(tb: &mut Testbed, schedules: &[Vec<Disturbance>])
 
 /// Schedules that crash the transmitter or drive it to bus-off (or
 /// target the bus-off / crashed fields directly) must classify
-/// identically: the crashed target takes the scalar path whole, the
-/// idle target peels once a node shows `Idle`, the bus-off target rides
-/// the trunk to the end, and a trunk survivor's verdict is untouched by
-/// another schedule's crash or bus-off replay.
+/// identically: the crashed and idle targets take the scalar path
+/// whole, the bus-off target rides the trunk to the end, and a trunk
+/// survivor's verdict is untouched by another schedule's crash or
+/// bus-off replay.
 #[test]
 fn bus_off_and_crash_lanes_peel_to_scalar() {
     let light = [

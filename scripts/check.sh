@@ -244,21 +244,23 @@ for mode in lanes scalar; do
 done
 echo "    lanes and scalar both exit 3 with the committed report"
 
-echo "==> default falsify and attack-surface campaigns against results/ and corpus/attack/"
+echo "==> default falsify (lanes and --scalar) and attack-surface campaigns against results/ and corpus/attack/"
 # The falsify bin's default campaign at 600 schedules/target (the
-# falsify benchmark's campaign) and the default attack-surface sweep:
-# both reports, shrink counts included, must come back byte-identical,
-# and the sweep's --corpus archive must be exactly the committed
-# cheapest-attack certificates. Under a second each in release.
+# falsify benchmark's campaign), through the default engine and through
+# --scalar, and the default attack-surface sweep: all three reports,
+# shrink counts included, must come back byte-identical, and the sweep's
+# --corpus archive must be exactly the committed cheapest-attack
+# certificates. Under a second each in release.
 cargo build -q --release -p majorcan-falsify
 results_step falsify_fa15.txt falsify 600 --seed 0xFA15 --jobs 2 --quiet
+results_step falsify_fa15.txt falsify 600 --seed 0xFA15 --jobs 2 --quiet --scalar
 results_step attack_surface_a77ac4.txt attack_surface --jobs 2 --quiet
 target/release/attack_surface --jobs 2 --quiet --corpus "$tmp/attack_corpus" >/dev/null
 if ! diff -r corpus/attack "$tmp/attack_corpus" >&2; then
     echo "FAIL: the default attack-surface sweep archives other certificates than corpus/attack/" >&2
     exit 1
 fi
-echo "    both reports byte-identical; $(ls "$tmp/attack_corpus" | wc -l) certificates equal corpus/attack/"
+echo "    all three reports byte-identical; $(ls "$tmp/attack_corpus" | wc -l) certificates equal corpus/attack/"
 
 echo "==> sharded fleet smoke run (falsify, 1 process vs 3 shard workers, then tamper)"
 # The crash-tolerant fleet path end to end: three sequential shard
