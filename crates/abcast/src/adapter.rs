@@ -1,6 +1,6 @@
 //! Adapter from CAN controller event logs to Atomic Broadcast traces.
 
-use crate::{AbTrace, MsgId, Report, TraceAccumulator};
+use crate::{AbEvent, AbTrace, MsgId, Report, TraceAccumulator};
 use majorcan_can::{CanEvent, Frame};
 use majorcan_sim::TimedEvent;
 use std::collections::BTreeSet;
@@ -13,42 +13,66 @@ pub fn msg_id_of(frame: &Frame) -> MsgId {
     MsgId::new(frame.id().raw(), frame.data().to_vec())
 }
 
-/// Builds an [`AbTrace`] from a raw controller event log.
-///
-/// Mapping:
-///
-/// * the **first** `TxStarted` of a frame at a node ⇒ `Broadcast`;
-/// * `Delivered` at a receiver ⇒ `Deliver`;
-/// * `TxSucceeded` at the transmitter ⇒ `Deliver` to itself (the
-///   link-layer transmitter keeps its own message — self-delivery);
-/// * `Crashed` / `WentBusOff` ⇒ `Crash`.
-///
-/// This is the *link-layer* interpretation used for the CAN / MinorCAN /
-/// MajorCAN experiments; the higher-level protocols build their own traces
-/// from their own delivery events.
+/// What one controller event means to the Atomic Broadcast checker.
+pub(crate) enum Reading<'a> {
+    /// A transmission attempt of the frame started.
+    Broadcast(&'a Frame),
+    /// The frame was delivered.
+    Deliver(&'a Frame),
+    /// The node crashed or went bus-off.
+    Crash,
+}
+
+impl<'a> Reading<'a> {
+    /// The *link-layer* reading of a controller event, which every CAN /
+    /// MinorCAN / MajorCAN grade applies (`TxSucceeded` is the
+    /// transmitter's self-delivery); the higher-level protocols read
+    /// their own events.
+    #[inline]
+    pub(crate) fn of(event: &'a CanEvent) -> Option<Self> {
+        match event {
+            CanEvent::TxStarted { frame, .. } => Some(Reading::Broadcast(frame)),
+            CanEvent::Delivered { frame, .. } | CanEvent::TxSucceeded { frame, .. } => {
+                Some(Reading::Deliver(frame))
+            }
+            CanEvent::Crashed | CanEvent::WentBusOff => Some(Reading::Crash),
+            _ => None,
+        }
+    }
+
+    /// The trace event this reading makes at `node`.
+    pub(crate) fn event(&self, node: usize) -> AbEvent {
+        match *self {
+            Reading::Broadcast(frame) => AbEvent::Broadcast {
+                node,
+                msg: msg_id_of(frame),
+            },
+            Reading::Deliver(frame) => AbEvent::Deliver {
+                node,
+                msg: msg_id_of(frame),
+            },
+            Reading::Crash => AbEvent::Crash { node },
+        }
+    }
+}
+
+/// Builds an [`AbTrace`] from a raw controller event log through the
+/// link-layer reading, keeping only the **first** `TxStarted` of a frame
+/// at a node as a `Broadcast` (a retransmission is not a new broadcast).
 pub fn trace_from_can_events(events: &[TimedEvent<CanEvent>], n_nodes: usize) -> AbTrace {
     let mut trace = AbTrace::new(n_nodes);
     let mut broadcast_seen: BTreeSet<(usize, MsgId)> = BTreeSet::new();
     for e in events {
-        let node = e.node.index();
-        match &e.event {
-            CanEvent::TxStarted { frame, .. } => {
-                let msg = msg_id_of(frame);
-                if broadcast_seen.insert((node, msg.clone())) {
-                    trace.broadcast(e.at, node, msg);
-                }
+        let Some(reading) = Reading::of(&e.event) else {
+            continue;
+        };
+        let event = reading.event(e.node.index());
+        if let AbEvent::Broadcast { node, msg } = &event {
+            if !broadcast_seen.insert((*node, msg.clone())) {
+                continue;
             }
-            CanEvent::Delivered { frame, .. } => {
-                trace.deliver(e.at, node, msg_id_of(frame));
-            }
-            CanEvent::TxSucceeded { frame, .. } => {
-                trace.deliver(e.at, node, msg_id_of(frame));
-            }
-            CanEvent::Crashed | CanEvent::WentBusOff => {
-                trace.crash(e.at, node);
-            }
-            _ => {}
         }
+        trace.push(e.at, event);
     }
     trace
 }
@@ -63,15 +87,13 @@ pub fn check_can_events(events: &[TimedEvent<CanEvent>], n_nodes: usize) -> Repo
     let mut msg = MsgId::new(0, Vec::new());
     for e in events {
         let node = e.node.index();
-        match &e.event {
+        match Reading::of(&e.event) {
             // Every start, not only each node's first: the accumulator
             // keeps a message's first broadcaster, the same either way.
-            CanEvent::TxStarted { frame, .. } => acc.broadcast(node, refill(&mut msg, frame)),
-            CanEvent::Delivered { frame, .. } | CanEvent::TxSucceeded { frame, .. } => {
-                acc.deliver(node, refill(&mut msg, frame));
-            }
-            CanEvent::Crashed | CanEvent::WentBusOff => acc.crash(node),
-            _ => {}
+            Some(Reading::Broadcast(frame)) => acc.broadcast(node, refill(&mut msg, frame)),
+            Some(Reading::Deliver(frame)) => acc.deliver(node, refill(&mut msg, frame)),
+            Some(Reading::Crash) => acc.crash(node),
+            None => {}
         }
     }
     acc.finish()

@@ -48,6 +48,7 @@
 //! the number of incomplete retirements, each already a violation-in-waiting,
 //! so healthy soaks hold none.
 
+use crate::adapter::Reading;
 use crate::{AbEvent, MsgId, Report, Verdict};
 use majorcan_can::CanEvent;
 use majorcan_sim::TimedEvent;
@@ -564,9 +565,7 @@ impl WindowedChecker {
 }
 
 /// Streaming equivalent of [`trace_from_can_events`]: maps one controller
-/// event into the windowed checker using the identical link-layer
-/// interpretation (first `TxStarted` ⇒ broadcast, `Delivered` /
-/// `TxSucceeded` ⇒ delivery, `Crashed` / `WentBusOff` ⇒ crash).
+/// event into the windowed checker through the same link-layer reading.
 /// Retransmission `TxStarted`s are absorbed by the live window instead of
 /// a seen-set, which is what keeps the adapter O(1) in trace length.
 ///
@@ -574,20 +573,8 @@ impl WindowedChecker {
 impl WindowedChecker {
     /// Consumes one raw CAN controller event.
     pub fn push_can(&mut self, e: &TimedEvent<CanEvent>) {
-        let node = e.node.index();
-        match &e.event {
-            CanEvent::TxStarted { frame, .. } => {
-                let msg = crate::msg_id_of(frame);
-                self.push(e.at, &AbEvent::Broadcast { node, msg });
-            }
-            CanEvent::Delivered { frame, .. } | CanEvent::TxSucceeded { frame, .. } => {
-                let msg = crate::msg_id_of(frame);
-                self.push(e.at, &AbEvent::Deliver { node, msg });
-            }
-            CanEvent::Crashed | CanEvent::WentBusOff => {
-                self.push(e.at, &AbEvent::Crash { node });
-            }
-            _ => {}
+        if let Some(reading) = Reading::of(&e.event) {
+            self.push(e.at, &reading.event(e.node.index()));
         }
     }
 }

@@ -34,7 +34,7 @@
 //! function, and [`JobRunner::run_job`] computes the same function with a
 //! warm cache.
 
-use majorcan_abcast::trace_from_can_events;
+use majorcan_abcast::check_can_events;
 use majorcan_campaign::{
     derive_trial_seed, DomainSpec, FaultSpec, Job, JobResult, ProtocolSpec, WorkloadSpec,
 };
@@ -284,7 +284,7 @@ pub fn run_job(job: &Job) -> JobResult {
 
 /// Grades one trial's event log into the counter schema.
 fn grade(events: &[TimedEvent<CanEvent>], n_nodes: usize, out: &mut JobResult) {
-    let report = trace_from_can_events(events, n_nodes).check();
+    let report = check_can_events(events, n_nodes);
     if !report.agreement.holds {
         out.counters.add("imo", 1);
     }

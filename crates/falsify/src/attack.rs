@@ -323,6 +323,8 @@ fn attacked(actions: &[AttackAction]) -> impl FnOnce(&mut Testbed) -> AttackOutc
 #[derive(Debug, Default)]
 pub struct AttackOracle {
     core: OracleCore<Vec<AttackAction>, AttackOutcome>,
+    /// The memo lookup key, refilled per lookup so a hit allocates nothing.
+    key: Vec<AttackAction>,
 }
 
 impl AttackOracle {
@@ -344,12 +346,13 @@ impl AttackOracle {
         actions: &[AttackAction],
         n_nodes: usize,
     ) -> AttackOutcome {
+        actions.clone_into(&mut self.key);
         self.core
             .judge(
                 target,
                 n_nodes,
                 attack_settings,
-                actions.to_vec(),
+                &self.key,
                 attacked(actions),
             )
             .unwrap_or_else(AttackOutcome::Panic)

@@ -77,7 +77,7 @@ impl<K, V> Default for OracleCore<K, V> {
     }
 }
 
-impl<K: Eq + Hash, V: Clone> OracleCore<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone> OracleCore<K, V> {
     /// Runs `run` on the testbed cached for `(target, n_nodes)`, built
     /// with `settings` on a miss. A panic while building (e.g. an invalid
     /// MajorCAN tolerance) or running comes back as its message; one while
@@ -107,21 +107,22 @@ impl<K: Eq + Hash, V: Clone> OracleCore<K, V> {
 
     /// As [`OracleCore::run`], but a `key` already judged on the cached
     /// testbed is not run again: the recorded verdict comes back
-    /// instead. A run that panicked is never recorded.
+    /// instead. The key is copied only when a verdict is recorded, and a
+    /// run that panicked is never recorded.
     pub(crate) fn judge(
         &mut self,
         target: ProtocolSpec,
         n_nodes: usize,
         settings: Settings,
-        key: K,
+        key: &K,
         run: impl FnOnce(&mut Testbed) -> V,
     ) -> Result<V, String> {
-        if let Some(verdict) = self.recall(target, n_nodes, &key) {
+        if let Some(verdict) = self.recall(target, n_nodes, key) {
             return Ok(verdict.clone());
         }
         self.judge_runs += 1;
         let verdict = self.run(target, n_nodes, settings, run)?;
-        self.memo.insert(key, verdict.clone());
+        self.memo.insert(key.clone(), verdict.clone());
         Ok(verdict)
     }
 
@@ -186,6 +187,8 @@ pub enum Engine {
 #[derive(Debug, Default)]
 pub struct Oracle {
     core: OracleCore<(u64, Vec<Disturbance>), Outcome>,
+    /// The memo lookup key, refilled per lookup so a hit allocates nothing.
+    key: (u64, Vec<Disturbance>),
     engine: Engine,
 }
 
@@ -238,13 +241,14 @@ impl Oracle {
         n_nodes: usize,
         budget: u64,
     ) -> Outcome {
-        let key = (budget, disturbances.to_vec());
+        self.key.0 = budget;
+        disturbances.clone_into(&mut self.key.1);
         self.core
             .judge(
                 target,
                 n_nodes,
                 defaults,
-                key,
+                &self.key,
                 scripted(disturbances, budget),
             )
             .unwrap_or_else(Outcome::CheckerPanic)
@@ -307,14 +311,12 @@ impl Oracle {
         // the run in `runs` that answers it.
         let mut answers: Vec<Result<Outcome, usize>> = Vec::with_capacity(schedules.len());
         let mut runs: Vec<&[Disturbance]> = Vec::with_capacity(schedules.len());
-        // One lookup key, refilled per lookup, so a lookup allocates nothing.
-        let mut key = (budget, Vec::with_capacity(1));
+        self.key.0 = budget;
         for schedule in schedules {
             let disturbances = schedule.disturbances();
-            if let [d] = disturbances {
-                key.1.clear();
-                key.1.push(d.clone());
-                if let Some(verdict) = self.core.recall(target, n_nodes, &key) {
+            if disturbances.len() == 1 {
+                disturbances.clone_into(&mut self.key.1);
+                if let Some(verdict) = self.core.recall(target, n_nodes, &self.key) {
                     answers.push(Ok(verdict.clone()));
                     continue;
                 }

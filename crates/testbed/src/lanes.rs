@@ -4,9 +4,11 @@
 //! through this module's `run_one`, the one load → run → grade function
 //! of all six stacks and of both fault kinds: link clusters and
 //! higher-level-protocol clusters differ only in their [`Stack`]
-//! stimulus and grade, and a disturbance script and an attack only in
+//! stimulus and verdict, and a disturbance script and an attack only in
 //! the [`Load`] installed on the channel ([`Testbed::run_attack`] runs
-//! the latter).
+//! the latter). Every path grades through [`grade`], whose drain test,
+//! [`drained`], reads the nodes' own quiescence promises and so holds
+//! for every stack alike.
 //!
 //! The falsifier's random fault models produce mostly prefix-free
 //! schedules, yet every one of them shares something: until a
@@ -31,7 +33,8 @@
 //! 3. **Survivors** — schedules still riding when the trunk stops (the
 //!    bus settled, or the budget elapsed) never fired, and are classified
 //!    straight from the trunk: every entry unfired, and the trunk's
-//!    verdict, quiescence cut and truncation status are exactly theirs.
+//!    verdict and truncation status are exactly theirs. A settled trunk
+//!    leaps to the budget first, as a survivor's scalar run would.
 //!
 //! Why the peel is exact: a scripted entry counts a visit, or fires,
 //! only on a full `(node, field, index, stuff)` match with the tag its
@@ -69,7 +72,7 @@ use majorcan_abcast::{check_can_events, Verdict};
 use majorcan_can::{Controller, Field, Variant, WirePos};
 use majorcan_faults::{scenario_frame, AttackAction, Disturbance};
 use majorcan_hlp::{trace_from_hlp_events, HlpLayer, HlpNode};
-use majorcan_sim::{BitNode, NodeId, Simulator};
+use majorcan_sim::{BitNode, ChannelModel, NodeId, Simulator};
 
 /// Fields that keep a schedule off the trunk: a node's pre-step tag and
 /// the tag it shows the channel can differ there, so a pre-step look
@@ -84,7 +87,8 @@ pub(crate) type Sim<N> = Simulator<N, BusChannel>;
 
 /// A node type the testbed assembles clusters from: a link-layer
 /// controller, or a higher-level-protocol node over one. The stimulus
-/// and the grade are all that differs between the six stacks.
+/// and the reading of the event log are all that differs between the
+/// six stacks; the drain test is the nodes' [`BitNode`] promise.
 pub(crate) trait Stack: BitNode<Tag = WirePos, Event: Clone> + Clone {
     /// Rewinds the node to its just-built state, crash script cleared.
     fn rewind(&mut self);
@@ -95,10 +99,6 @@ pub(crate) trait Stack: BitNode<Tag = WirePos, Event: Clone> + Clone {
 
     /// The Atomic Broadcast verdict on the run's event log.
     fn verdict(sim: &Sim<Self>, n_nodes: usize) -> Verdict;
-
-    /// `true` when the run that just ended was cut by the bit budget
-    /// rather than by quiescence, so its verdict covers a prefix.
-    fn truncated(sim: &Sim<Self>, budget: u64) -> bool;
 }
 
 impl<V: Variant> Stack for Controller<V> {
@@ -117,14 +117,6 @@ impl<V: Variant> Stack for Controller<V> {
     #[inline]
     fn verdict(sim: &Sim<Self>, n_nodes: usize) -> Verdict {
         check_can_events(sim.events(), n_nodes).verdict()
-    }
-
-    /// The budget elapsed while the bus was still active. A trunk that
-    /// settled before the budget is drained by construction; a
-    /// drained-at-budget run is complete either way.
-    #[inline]
-    fn truncated(sim: &Sim<Self>, budget: u64) -> bool {
-        sim.now() >= budget && !drained(sim)
     }
 }
 
@@ -146,13 +138,6 @@ impl<L: HlpLayer + Clone> Stack for HlpNode<L> {
         trace_from_hlp_events(sim.events(), n_nodes)
             .check()
             .verdict()
-    }
-
-    /// Never: higher-level-protocol runs are graded without a
-    /// truncation check (ROADMAP item 2).
-    #[inline]
-    fn truncated(_sim: &Sim<Self>, _budget: u64) -> bool {
-        false
     }
 }
 
@@ -193,22 +178,31 @@ fn load<N: Stack>(sim: &mut Sim<N>, faults: Load<'_>) {
     sim.node_mut(NodeId(0)).stimulus();
 }
 
-/// `true` when every node is idle with an empty queue or crashed — the
-/// one drain predicate behind `Testbed::is_drained`, and the condition
-/// the truncation distinction rests on: a run whose budget elapses while
-/// `!drained` executed a *prefix* of its schedule's consequences.
-pub(crate) fn drained<V: Variant>(sim: &Sim<Controller<V>>) -> bool {
-    sim.nodes()
-        .all(|n| (n.is_idle() && n.pending() == 0) || n.is_crashed())
+/// `true` when every node promises to stay quiet forever (the
+/// [`BitNode::quiescent_until`] promise [`Simulator::run`] leaps on):
+/// nothing queued or on the wire, no layer timer pending, no event or
+/// crash still to come. The one drain predicate of every stack: a run
+/// whose budget elapses while `!drained` executed a *prefix* of its
+/// schedule's consequences.
+pub(crate) fn drained<N: BitNode, C: ChannelModel<N::Tag>>(sim: &Simulator<N, C>) -> bool {
+    let now = sim.now();
+    sim.nodes().all(|n| n.quiescent_until(now) == u64::MAX)
 }
 
-/// The one grade of a run: the verdict on its event log, the channel's
-/// unfired entries, and the truncation test against `budget`. The body
-/// of `Testbed::outcome`.
+/// The one grade of a run: `verdict` classified with `unfired` scripted
+/// entries, demoted to truncated when the run reached `budget` before
+/// the bus [`drained`].
+#[inline]
+fn grade<N: Stack>(sim: &Sim<N>, verdict: Verdict, unfired: usize, budget: u64) -> Outcome {
+    classify(verdict, unfired).truncate_if(sim.now() >= budget && !drained(sim))
+}
+
+/// [`grade`] with the verdict on the run's event log and the channel's
+/// unfired count. The body of `Testbed::outcome`.
 #[inline]
 pub(crate) fn outcome_of<N: Stack>(sim: &Sim<N>, n_nodes: usize, budget: u64) -> Outcome {
-    classify(N::verdict(sim, n_nodes), sim.channel().unfired_len())
-        .truncate_if(N::truncated(sim, budget))
+    let unfired = sim.channel().unfired_len();
+    grade(sim, N::verdict(sim, n_nodes), unfired, budget)
 }
 
 /// One scalar evaluation: loads `faults`, runs the budget and grades the
@@ -339,12 +333,13 @@ pub(crate) fn run_lanes<N: Stack>(
 
     // Survivors: no entry of theirs ever fired, so the whole schedule
     // counts unfired, and the trunk's verdict and truncation status are
-    // theirs too.
+    // theirs too. A settled trunk leaps the rest of the budget first, as
+    // a survivor's scalar run does.
     if !(riding.is_empty() && watched.is_empty()) {
+        sim.run(budget - sim.now());
         let verdict = N::verdict(sim, n_nodes);
-        let cut = N::truncated(sim, budget);
         for &(i, _) in riding.iter().chain(&watched) {
-            outcomes[i] = Some(classify(verdict, schedules[i].len()).truncate_if(cut));
+            outcomes[i] = Some(grade(sim, verdict, schedules[i].len(), budget));
         }
     }
     outcomes
@@ -409,23 +404,37 @@ mod tests {
         }
     }
 
-    /// Where `drive` moved the nodes' tags over the checked runs.
+    /// Where `drive` moved the nodes' tags over the checked runs, and
+    /// how the drain predicate compared on link clusters.
     #[derive(Default)]
     struct Moves {
         /// Fields `drive` moved a node into, on any run.
         entered: BTreeSet<Field>,
         /// Fields `drive` moved a node out of, on fault-free runs.
         left: BTreeSet<Field>,
+        /// Stepped link-cluster bits where [`drained`] was compared with
+        /// the link reference.
+        drain_bits: usize,
+        /// Of those, the bits where they differed because a scheduled
+        /// crash was still due.
+        crash_due_bits: usize,
     }
 
-    /// One stack: its protocol, and how to build node `i` with a given
-    /// controller configuration.
-    struct Cluster<F> {
+    /// One stack: its protocol, how to build node `i` with a given
+    /// controller configuration, and the drain check run after every
+    /// stepped bit (given the run's crash script).
+    struct Cluster<F, D> {
         spec: ProtocolSpec,
         make: F,
+        drain: D,
     }
 
-    impl<N: Stack, F: Fn(usize, ControllerConfig) -> N> Cluster<F> {
+    impl<N, F, D> Cluster<F, D>
+    where
+        N: Stack,
+        F: Fn(usize, ControllerConfig) -> N,
+        D: Fn(&Simulator<N, Recording>, Option<(usize, u64)>, &mut Moves),
+    {
         /// Steps one run bit by bit (node 0 sends the stack's stimulus
         /// under `schedule`, `crash` arms a scheduled crash) until it
         /// settles or the budget elapses. At every bit, a node's
@@ -498,6 +507,7 @@ mod tests {
                         }
                     }
                 }
+                (self.drain)(&sim, crash, moves);
             }
             sim
         }
@@ -530,7 +540,44 @@ mod tests {
     fn check_link<V: Variant>(variant: V, moves: &mut Moves) {
         let make = |_, config| Controller::with_config(variant.clone(), config);
         let spec = spec_of(&variant);
-        Cluster { spec, make }.check(moves);
+        let drain = link_drain::<V>;
+        Cluster { spec, make, drain }.check(moves);
+    }
+
+    /// Compares [`drained`] with the link reference, every controller
+    /// `(idle && queue empty) || crashed`, after one stepped bit. They
+    /// may differ only where an idle node's scheduled crash is still
+    /// due: the reference calls the bus drained, the promise waits for
+    /// the crash, which changes the nodes the checker counts as correct,
+    /// so a run cut before it is a prefix. The one other event a
+    /// controller promise waits for and the reference misses, a warning
+    /// shutoff raised in `observe` and announced at the next bit, never
+    /// meets an otherwise drained bus on these runs; this would name the
+    /// bit where it did.
+    fn link_drain<V: Variant>(
+        sim: &Simulator<Controller<V>, Recording>,
+        crash: Option<(usize, u64)>,
+        moves: &mut Moves,
+    ) {
+        let settled = |n: &Controller<V>| (n.is_idle() && n.pending() == 0) || n.is_crashed();
+        let reference = sim.nodes().all(settled);
+        moves.drain_bits += 1;
+        if drained(sim) == reference {
+            return;
+        }
+        let now = sim.now();
+        assert!(
+            reference,
+            "bit {now}: drained, but not by the link reference"
+        );
+        for (i, n) in sim.nodes().enumerate() {
+            let due = crash.is_some_and(|(node, _)| node == i) && !n.is_crashed();
+            assert!(
+                n.quiescent_until(now) == u64::MAX || due,
+                "bit {now}: node {i} withholds its promise with no crash due: {n:?}"
+            );
+        }
+        moves.crash_due_bits += 1;
     }
 
     /// [`Cluster::check`] on a higher-level-protocol stack, plus a
@@ -542,7 +589,8 @@ mod tests {
         moves: &mut Moves,
     ) -> Vec<TimedEvent<HlpEvent>> {
         let make = |i, config| HlpNode::with_config(layer(), i, config);
-        let cluster = Cluster { spec, make };
+        let drain = |_: &Simulator<HlpNode<L>, Recording>, _, _: &mut Moves| {};
+        let cluster = Cluster { spec, make, drain };
         cluster.check(moves);
         let clean = cluster.check_run(true, &[], None, false, moves);
         let data_sent = clean
@@ -572,7 +620,8 @@ mod tests {
     /// CONFIRM, duplicates); on any run, a node's disturb-time field is
     /// its pre-step field or one of them. Every listed field must also be
     /// seen entered, or left on a fault-free run, so the list stays
-    /// minimal.
+    /// minimal. On link clusters, every stepped bit also checks the drain
+    /// predicate against the link reference ([`link_drain`]).
     #[test]
     fn drive_enters_only_no_fork_fields() {
         let mut moves = Moves::default();
@@ -597,6 +646,10 @@ mod tests {
             dropped,
             N_NODES - 1,
             "TOTCAN receivers time out on the ACCEPT"
+        );
+        assert!(
+            moves.crash_due_bits > 0 && moves.crash_due_bits < moves.drain_bits,
+            "the crash scripts reach the drain test's one difference from the link reference"
         );
         let listed: BTreeSet<Field> = NO_FORK_FIELDS.iter().copied().collect();
         let moved: BTreeSet<Field> = moves.entered.union(&moves.left).copied().collect();

@@ -1,7 +1,7 @@
 //! The owned result of one scripted link-layer run.
 
 use crate::outcome::{classify, Outcome};
-use majorcan_abcast::trace_from_can_events;
+use majorcan_abcast::check_can_events;
 use majorcan_can::{CanEvent, Frame};
 use majorcan_faults::Disturbance;
 use majorcan_sim::{BitTrace, NodeId, TimedEvent};
@@ -13,11 +13,8 @@ pub struct ScenarioRun {
     pub events: Vec<TimedEvent<CanEvent>>,
     /// Bit-level trace (always recorded for scenario runs).
     pub trace: BitTrace,
-    /// `true` if every scripted disturbance actually fired — if not, the
-    /// script missed (e.g. wrong variant for the positions used).
-    pub script_exhausted: bool,
     /// The scripted disturbances that never fired, in script order (empty
-    /// exactly when [`script_exhausted`](ScenarioRun::script_exhausted)).
+    /// exactly when the run is [`fully_applied`](ScenarioRun::fully_applied)).
     /// A disturbance stays unfired when its position never exists under
     /// the variant's geometry, its node never reaches the position, or the
     /// requested occurrence count is never met — any of which makes a
@@ -106,9 +103,7 @@ impl ScenarioRun {
     /// into the shared [`Outcome`] vocabulary (the same classification the
     /// falsifier's oracle applies).
     pub fn outcome(&self) -> Outcome {
-        let verdict = trace_from_can_events(&self.events, self.n_nodes)
-            .check()
-            .verdict();
+        let verdict = check_can_events(&self.events, self.n_nodes).verdict();
         classify(verdict, self.remaining())
     }
 }

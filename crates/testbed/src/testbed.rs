@@ -481,25 +481,20 @@ impl Testbed {
         })
     }
 
-    /// Steps the cluster until every controller is idle with an empty
-    /// queue (or crashed) and the bus has stayed that way for `settle`
-    /// consecutive bits, or until `max_bits` elapse. Returns the number of
-    /// bits simulated. Link-layer clusters only.
+    /// Steps the cluster until it has stayed drained (see
+    /// [`Testbed::is_drained`]) for `settle` consecutive bits, or until
+    /// `max_bits` elapse. Returns the number of bits simulated.
     ///
     /// Scenario measurements use this instead of fixed budgets so slow
     /// error recoveries are never truncated (a truncated run would look
     /// like a message omission and corrupt the statistics).
     pub fn run_until_quiescent(&mut self, settle: u64, max_bits: u64) -> u64 {
-        link_sim!(&mut self.cluster, self.protocol, "run_until_quiescent", sim => {
+        each_sim!(&mut self.cluster, sim => {
             let mut calm = 0u64;
-            for done in 0..max_bits {
-                sim.step();
+            sim.run_until(max_bits, |sim| {
                 calm = if lanes::drained(sim) { calm + 1 } else { 0 };
-                if calm >= settle {
-                    return done + 1;
-                }
-            }
-            max_bits
+                calm >= settle
+            })
         })
     }
 
@@ -518,10 +513,12 @@ impl Testbed {
         })
     }
 
-    /// `true` when every node is idle with an empty queue (or crashed) —
-    /// the bus has drained. Link-layer clusters only.
+    /// `true` when the bus has drained: every controller is idle with
+    /// nothing queued, or crashed, with no crash still to announce or
+    /// still due, and no higher-level-protocol layer has a timer pending
+    /// or a host event queued. The truncation test of every grade.
     pub fn is_drained(&self) -> bool {
-        link_sim!(&self.cluster, self.protocol, "is_drained", sim => lanes::drained(sim))
+        each_sim!(&self.cluster, sim => lanes::drained(sim))
     }
 
     /// The scripted disturbances that have not fired (empty for
@@ -555,8 +552,8 @@ impl Testbed {
 
     /// Grades the current run with the Atomic Broadcast checker and
     /// classifies it into the shared [`Outcome`] vocabulary — the one
-    /// grade every run path applies. On a link cluster a run that reached
-    /// the configured budget while the bus was still active (not
+    /// grade every run path applies, on all six stacks. A run that
+    /// reached the configured budget before the bus drained (not
     /// [`Testbed::is_drained`]) classifies as [`Outcome::Truncated`]
     /// instead of a clean verdict.
     pub fn outcome(&self) -> Outcome {
@@ -577,12 +574,12 @@ impl Testbed {
     /// layer timer can fall due inside the frame): only the disturbed
     /// attempts are stepped.
     ///
-    /// The run is graded as [`Testbed::outcome`] grades it: on a link
-    /// cluster, a run whose budget elapses while the bus is still active
-    /// classifies as [`Outcome::Truncated`] instead of a clean verdict —
-    /// the trace is a prefix, and "no violation on a prefix" is not "no
-    /// violation". Higher-level-protocol runs are graded without that
-    /// check.
+    /// The run is graded as [`Testbed::outcome`] grades it: a run whose
+    /// budget elapses before the bus drains classifies as
+    /// [`Outcome::Truncated`] instead of a clean verdict — the trace is a
+    /// prefix, and "no violation on a prefix" is not "no violation". On
+    /// a higher-level-protocol cluster a pending CONFIRM or ACCEPT
+    /// timeout keeps the bus undrained.
     pub fn run_schedule(&mut self, schedule: &[Disturbance]) -> Outcome {
         self.set_record_trace(false);
         let (n_nodes, budget) = (self.n_nodes, self.budget);
@@ -690,13 +687,11 @@ impl Testbed {
         self.enqueue(0, scenario_frame());
         self.run(self.budget);
         link_sim!(&mut self.cluster, self.protocol, "run_script", sim => {
-            let unfired = sim.channel().unfired();
             let trace = sim.trace().cloned().unwrap_or_default();
             ScenarioRun {
                 events: sim.take_events(),
                 trace,
-                script_exhausted: unfired.is_empty(),
-                unfired,
+                unfired: sim.channel().unfired(),
                 n_nodes: self.n_nodes,
             }
         })

@@ -252,12 +252,20 @@ fn hlp_cluster<L: HlpLayer>(
     sim
 }
 
-/// Grades a finished higher-level-protocol run as `run_schedule` does.
+/// Grades a higher-level-protocol run stepped to its budget as
+/// `run_schedule` does, truncation demotion included.
 fn hlp_run<L: HlpLayer>(sim: &Simulator<HlpNode<L>, BusChannel>) -> Run<HlpEvent> {
     let verdict = trace_from_hlp_events(sim.events(), N_NODES)
         .check()
         .verdict();
-    Run::of(sim, classify(verdict, sim.channel().unfired_len()))
+    let outcome = classify(verdict, sim.channel().unfired_len()).truncate_if(!hlp_drained(sim));
+    Run::of(sim, outcome)
+}
+
+/// Every node promises to stay quiet forever: the testbed's drain test.
+fn hlp_drained<L: HlpLayer>(sim: &Simulator<HlpNode<L>, BusChannel>) -> bool {
+    sim.nodes()
+        .all(|n| n.quiescent_until(sim.now()) == u64::MAX)
 }
 
 /// The stepped twin of a higher-level-protocol testbed run: node 0

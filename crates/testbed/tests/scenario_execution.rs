@@ -84,8 +84,7 @@ fn rebuild_and_run(protocol: ProtocolSpec, schedule: &[Disturbance]) -> Outcome 
 #[test]
 fn fig1b_run_shows_double_reception_on_standard_can() {
     let run = run_scenario(&StandardCan, &Scenario::fig1b(), 800);
-    assert!(run.script_exhausted, "disturbance must have fired");
-    assert!(run.fully_applied());
+    assert!(run.fully_applied(), "disturbance must have fired");
     assert_eq!(run.remaining(), 0);
     assert_eq!(run.deliveries(2).len(), 2, "Y delivers twice");
     assert_eq!(run.deliveries(1).len(), 1);
@@ -96,7 +95,7 @@ fn fig1b_run_shows_double_reception_on_standard_can() {
 #[test]
 fn fig1c_run_crashes_tx_and_omits_x() {
     let run = run_scenario(&StandardCan, &Scenario::fig1c(), 800);
-    assert!(run.script_exhausted);
+    assert!(run.fully_applied());
     assert_eq!(run.deliveries(2).len(), 1);
     assert_eq!(run.deliveries(1).len(), 0, "X omitted");
     assert!(run
@@ -108,7 +107,7 @@ fn fig1c_run_crashes_tx_and_omits_x() {
 #[test]
 fn fig1a_run_is_consistent() {
     let run = run_scenario(&StandardCan, &Scenario::fig1a(), 800);
-    assert!(run.script_exhausted);
+    assert!(run.fully_applied());
     assert!(run.consistent_single_delivery());
     assert_eq!(run.retransmissions(0), 0);
 }
@@ -116,7 +115,7 @@ fn fig1a_run_is_consistent() {
 #[test]
 fn fig3a_run_violates_agreement_with_correct_tx() {
     let run = run_scenario(&StandardCan, &Scenario::fig3a(), 800);
-    assert!(run.script_exhausted);
+    assert!(run.fully_applied());
     assert_eq!(run.tx_successes(0), 1);
     assert_eq!(run.deliveries(2).len(), 1);
     assert_eq!(run.deliveries(1).len(), 0);
@@ -161,7 +160,6 @@ fn unfired_disturbances_are_reported_not_swallowed() {
     // the run must say so instead of passing vacuously.
     let ghost = Disturbance::first(1, Field::AgreementHold, 13);
     let run = run_script(&StandardCan, vec![ghost.clone()], 3, 800);
-    assert!(!run.script_exhausted);
     assert!(!run.fully_applied());
     assert_eq!(run.remaining(), 1);
     assert_eq!(run.unfired, vec![ghost]);

@@ -7,16 +7,23 @@
 //! untripped schedule from one shared run stamped that verdict onto all
 //! of them. These tests pin the fix: a run whose budget elapses while the
 //! bus is still active is [`Outcome::Truncated`], on the scalar, batch
-//! and attack paths alike.
+//! and attack paths alike, and on all six stacks: a higher-level-protocol
+//! bus is still active while a CONFIRM or ACCEPT round, or the timeout
+//! that stands in for one, is pending.
 
-use majorcan_can::Field;
+use majorcan_can::{CanEvent, Field};
 use majorcan_faults::Disturbance;
-use majorcan_testbed::{budget_for, Outcome, ProtocolSpec, Testbed};
+use majorcan_hlp::HlpEvent;
+use majorcan_sim::NodeId;
+use majorcan_testbed::{budget_for, Outcome, ProtocolSpec, Testbed, HLP_PROBE_PAYLOAD};
 
-const LINK_PROTOCOLS: [ProtocolSpec; 3] = [
+const PROTOCOLS: [ProtocolSpec; 6] = [
     ProtocolSpec::StandardCan,
     ProtocolSpec::MinorCan,
     ProtocolSpec::MajorCan { m: 5 },
+    ProtocolSpec::EdCan,
+    ProtocolSpec::RelCan,
+    ProtocolSpec::TotCan,
 ];
 
 /// The largest budget at which the fault-free run still classifies
@@ -45,7 +52,7 @@ fn last_truncated_budget(protocol: ProtocolSpec) -> u64 {
 
 #[test]
 fn scalar_budget_landing_mid_wind_down_truncates() {
-    for protocol in LINK_PROTOCOLS {
+    for protocol in PROTOCOLS {
         // `last_truncated_budget` itself asserts the window exists; pin
         // the boundary semantics around it too.
         let cut = last_truncated_budget(protocol);
@@ -69,19 +76,22 @@ fn scalar_budget_landing_mid_wind_down_truncates() {
 
 /// A budget cut must reach every schedule of a batch, whichever way the
 /// schedule finishes. No entry below ever fires on the fault-free run,
-/// and the group mixes both exits: schedules carrying the shared CRC
-/// entry (its third occurrence) peel where the transmitter enters its
-/// CRC field and replay on the scalar path, while the error-flag-only
-/// schedules never peel and are classified straight from the fault-free
-/// trunk — the shortcut that once stamped the trunk's clean verdict on
-/// every member even when the budget cut it. With the budget inside the
-/// wind-down window every member must come back `Truncated`, exactly
-/// like the scalar path.
+/// and the group takes every exit a schedule that never fires can take:
+/// schedules carrying the shared CRC entry (its fourth occurrence; node
+/// 0 sees at most three CRC fields, EDCAN's DATA frame and its two
+/// duplicates) are matched on the trunk bit by bit from the transmitter's
+/// first CRC bit, the error-flag-only schedules never show a position of
+/// theirs, and the schedule with a `Crashed` entry runs scalar whole.
+/// The trunk grades the first two kinds straight from itself — the
+/// shortcut that once stamped the trunk's clean verdict on every member
+/// even when the budget cut it. With the budget inside the wind-down
+/// window every member must come back `Truncated`, exactly like the
+/// scalar path.
 #[test]
 fn lanes_report_truncation_for_every_member_of_a_budget_cut_group() {
-    for protocol in LINK_PROTOCOLS {
+    for protocol in PROTOCOLS {
         let mut prefix = Disturbance::first(0, Field::Crc, 0);
-        prefix.occurrence = 3;
+        prefix.occurrence = 4;
         let schedules: Vec<Vec<Disturbance>> = vec![
             vec![prefix.clone(), Disturbance::first(1, Field::ErrorFlag, 0)],
             vec![prefix.clone(), Disturbance::first(2, Field::ErrorFlag, 3)],
@@ -93,6 +103,10 @@ fn lanes_report_truncation_for_every_member_of_a_budget_cut_group() {
             vec![
                 Disturbance::first(0, Field::ErrorFlag, 1),
                 Disturbance::first(2, Field::ErrorFlag, 5),
+            ],
+            vec![
+                Disturbance::first(1, Field::Crashed, 0),
+                Disturbance::first(2, Field::ErrorFlag, 3),
             ],
         ];
         let refs: Vec<&[Disturbance]> = schedules.iter().map(Vec::as_slice).collect();
@@ -148,4 +162,66 @@ fn attack_run_cut_on_a_busy_bus_truncates() {
     assert!(!tb.is_drained(), "the budget must cut a busy bus");
     assert_eq!(outcome, Outcome::Truncated { unfired: 0 });
     assert_eq!(tb.outcome(), outcome);
+}
+
+/// The drain test reads the nodes' own quiescence promises, so it holds
+/// on a higher-level-protocol cluster too, layer timers included. The
+/// transmitter crashes right after its DATA frame succeeds: the bus falls
+/// silent while each receiver waits out its CONFIRM (RELCAN) or ACCEPT
+/// (TOTCAN) timeout. The cluster is not drained during that wait, and a
+/// budget ending in it grades `truncated`, because the timeout still has
+/// to act; once the timeout's reaction has run, the cluster is drained.
+#[test]
+fn a_pending_layer_timer_keeps_an_hlp_bus_undrained() {
+    for protocol in [ProtocolSpec::RelCan, ProtocolSpec::TotCan] {
+        let mut tb = Testbed::builder(protocol).nodes(3).build();
+        let budget = tb.budget();
+        let run_probe = |tb: &mut Testbed, fail_at: Option<u64>, bits: u64| {
+            tb.load_script(&[]);
+            tb.set_fail_at(0, fail_at);
+            tb.broadcast(0, HLP_PROBE_PAYLOAD);
+            tb.run(bits);
+        };
+        run_probe(&mut tb, None, budget);
+        assert!(tb.is_drained(), "{protocol}: the clean run drains");
+        let data_sent = tb
+            .hlp_events()
+            .iter()
+            .find(|e| matches!(e.event, HlpEvent::Link(CanEvent::TxSucceeded { .. })))
+            .expect("the DATA frame went out")
+            .at;
+
+        run_probe(&mut tb, Some(data_sent + 1), budget);
+        assert!(tb.is_drained(), "{protocol}: the timeout's recovery drains");
+        let timeout = tb
+            .hlp_events()
+            .iter()
+            .find(|e| {
+                e.node != NodeId(0)
+                    && matches!(
+                        e.event,
+                        HlpEvent::Dropped { .. } | HlpEvent::Link(CanEvent::TxStarted { .. })
+                    )
+            })
+            .expect("a receiver's timeout acts")
+            .at;
+
+        let wait = timeout - 1;
+        run_probe(&mut tb, Some(data_sent + 1), wait);
+        let silent_since = tb.hlp_events().last().expect("the run logged events").at;
+        assert!(
+            silent_since + 100 < wait,
+            "{protocol}: the bus is silent from bit {silent_since} to {wait}"
+        );
+        assert!(
+            !tb.is_drained(),
+            "{protocol}: a receiver's timer is pending at bit {wait}"
+        );
+        tb.set_budget(wait);
+        assert_eq!(
+            tb.outcome(),
+            Outcome::Truncated { unfired: 0 },
+            "{protocol}: a budget ending inside the wait certifies nothing"
+        );
+    }
 }

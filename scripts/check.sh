@@ -262,6 +262,17 @@ if ! diff -r corpus/attack "$tmp/attack_corpus" >&2; then
 fi
 echo "    all three reports byte-identical; $(ls "$tmp/attack_corpus" | wc -l) certificates equal corpus/attack/"
 
+echo "==> higher-level-protocol falsify campaign (lanes and --scalar) against results/falsify_hlp_fa15.txt"
+# EDCAN, RELCAN and TOTCAN at 600 schedules each: the one pinned report
+# of EDCAN and RELCAN, graded with the drain test every stack shares (a
+# pending CONFIRM or ACCEPT timeout keeps an HLP bus undrained). The
+# report, shrink counts included, must come back byte-identical through
+# the default engine and through --scalar. About 0.1 s in release.
+hlp_args=(600 --seed 0xFA15 --targets EDCAN,RELCAN,TOTCAN --jobs 2 --quiet)
+results_step falsify_hlp_fa15.txt falsify "${hlp_args[@]}"
+results_step falsify_hlp_fa15.txt falsify "${hlp_args[@]}" --scalar
+echo "    report byte-identical through both engines"
+
 echo "==> sharded fleet smoke run (falsify, 1 process vs 3 shard workers, then tamper)"
 # The crash-tolerant fleet path end to end: three sequential shard
 # workers over one coordination directory must merge to a JSONL artifact

@@ -15,7 +15,7 @@ fn grade<V: Variant>(variant: &V, scenario: &Scenario) -> Report {
         .build()
         .run_scenario(scenario);
     assert!(
-        run.script_exhausted,
+        run.fully_applied(),
         "{} under {}: the disturbance script must fire",
         scenario.name,
         variant.name()
