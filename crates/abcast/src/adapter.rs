@@ -84,14 +84,14 @@ pub fn trace_from_can_events(events: &[TimedEvent<CanEvent>], n_nodes: usize) ->
 /// the campaign hot paths grade every run through this.
 pub fn check_can_events(events: &[TimedEvent<CanEvent>], n_nodes: usize) -> Report {
     let mut acc = TraceAccumulator::new(n_nodes);
-    let mut msg = MsgId::new(0, Vec::new());
+    let mut msg = MsgId::default();
     for e in events {
         let node = e.node.index();
         match Reading::of(&e.event) {
             // Every start, not only each node's first: the accumulator
             // keeps a message's first broadcaster, the same either way.
-            Some(Reading::Broadcast(frame)) => acc.broadcast(node, refill(&mut msg, frame)),
-            Some(Reading::Deliver(frame)) => acc.deliver(node, refill(&mut msg, frame)),
+            Some(Reading::Broadcast(frame)) => acc.broadcast(node, refill_msg_id(&mut msg, frame)),
+            Some(Reading::Deliver(frame)) => acc.deliver(node, refill_msg_id(&mut msg, frame)),
             Some(Reading::Crash) => acc.crash(node),
             None => {}
         }
@@ -100,8 +100,9 @@ pub fn check_can_events(events: &[TimedEvent<CanEvent>], n_nodes: usize) -> Repo
 }
 
 /// Overwrites `msg` with [`msg_id_of`]`(frame)`, reusing its payload
-/// storage.
-fn refill<'a>(msg: &'a mut MsgId, frame: &Frame) -> &'a MsgId {
+/// storage: a scratch message refilled per event looks a frame up
+/// without allocating.
+pub fn refill_msg_id<'a>(msg: &'a mut MsgId, frame: &Frame) -> &'a MsgId {
     msg.channel = frame.id().raw();
     msg.payload.clear();
     msg.payload.extend_from_slice(frame.data());

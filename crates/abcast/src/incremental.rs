@@ -49,7 +49,7 @@
 //! so healthy soaks hold none.
 
 use crate::adapter::Reading;
-use crate::{AbEvent, MsgId, Report, Verdict};
+use crate::{refill_msg_id, AbEvent, MsgId, MsgMap, Report, Verdict};
 use majorcan_can::CanEvent;
 use majorcan_sim::TimedEvent;
 use std::collections::BTreeMap;
@@ -205,7 +205,14 @@ pub struct WindowedChecker {
     now: u64,
     next_sweep: u64,
     crashed: u64,
-    live: BTreeMap<MsgId, LiveMsg>,
+    /// Messages inside the window. Hashed for the per-event lookup; the
+    /// sweep retires in `MsgId` order, so the first violation flagged
+    /// does not depend on the map's layout (`finish` returns only
+    /// aggregates, which no order changes).
+    live: MsgMap<LiveMsg>,
+    /// Refilled from the frame of each event [`push_can`](Self::push_can)
+    /// reads, so an event of a live message allocates nothing.
+    scratch: MsgId,
     peak_live: usize,
     max_observed_gap: u64,
     /// Next first-delivery rank per node.
@@ -250,7 +257,8 @@ impl WindowedChecker {
             now: 0,
             next_sweep: window,
             crashed: 0,
-            live: BTreeMap::new(),
+            live: MsgMap::default(),
+            scratch: MsgId::default(),
             peak_live: 0,
             max_observed_gap: 0,
             next_rank: vec![0; n_nodes],
@@ -341,31 +349,39 @@ impl WindowedChecker {
     /// Consumes one timestamped event. Timestamps should be
     /// non-decreasing; a stale timestamp is clamped to the current time.
     pub fn push(&mut self, at: u64, event: &AbEvent) {
+        self.record(at, |c, at| match event {
+            AbEvent::Broadcast { node, msg } => c.broadcast(at, *node, msg),
+            AbEvent::Deliver { node, msg } => c.deliver(at, *node, msg),
+            AbEvent::Crash { node } => c.crashed |= 1 << node,
+        });
+    }
+
+    /// Applies one event at `at` (clamped to the current time), then
+    /// tracks the live set's peak and sweeps when due.
+    fn record(&mut self, at: u64, apply: impl FnOnce(&mut Self, u64)) {
         let at = at.max(self.now);
         self.now = at;
-        match event {
-            AbEvent::Broadcast { node, msg } => {
-                self.note_revival(at, msg);
-                let n_nodes = self.n_nodes;
-                let entry = self
-                    .live
-                    .entry(msg.clone())
-                    .or_insert_with(|| LiveMsg::new(n_nodes, at));
-                if entry.origin.is_none() {
-                    entry.origin = Some(*node);
-                }
-                self.max_observed_gap = self.max_observed_gap.max(at - entry.last_event);
-                entry.last_event = at;
-            }
-            AbEvent::Deliver { node, msg } => self.deliver(at, *node, msg),
-            AbEvent::Crash { node } => {
-                self.crashed |= 1 << node;
-            }
-        }
+        apply(self, at);
         self.peak_live = self.peak_live.max(self.live.len());
         if at >= self.next_sweep {
             self.sweep(at);
         }
+    }
+
+    fn broadcast(&mut self, at: u64, node: usize, msg: &MsgId) {
+        self.note_revival(at, msg);
+        let entry = match self.live.get_mut(msg) {
+            Some(entry) => entry,
+            None => self
+                .live
+                .entry(msg.clone())
+                .or_insert_with(|| LiveMsg::new(self.n_nodes, at)),
+        };
+        if entry.origin.is_none() {
+            entry.origin = Some(node);
+        }
+        self.max_observed_gap = self.max_observed_gap.max(at - entry.last_event);
+        entry.last_event = at;
     }
 
     /// Consumes a whole stamped event (convenience over [`push`](Self::push)).
@@ -377,11 +393,13 @@ impl WindowedChecker {
         self.note_revival(at, msg);
         let n = self.n_nodes;
         let bit = 1u64 << node;
-        let n_nodes = self.n_nodes;
-        let entry = self
-            .live
-            .entry(msg.clone())
-            .or_insert_with(|| LiveMsg::new(n_nodes, at));
+        let entry = match self.live.get_mut(msg) {
+            Some(entry) => entry,
+            None => self
+                .live
+                .entry(msg.clone())
+                .or_insert_with(|| LiveMsg::new(n, at)),
+        };
         self.max_observed_gap = self.max_observed_gap.max(at - entry.last_event);
         entry.last_event = at;
         if entry.delivered & bit != 0 {
@@ -438,18 +456,17 @@ impl WindowedChecker {
         }
     }
 
-    /// Retires every message quiet for more than the window.
+    /// Retires every message quiet for more than the window, in `MsgId`
+    /// order.
     fn sweep(&mut self, now: u64) {
         let window = self.window;
-        let mut stale: Vec<MsgId> = self
+        let mut stale: Vec<(MsgId, LiveMsg)> = self
             .live
-            .iter()
-            .filter(|(_, m)| now.saturating_sub(m.last_event) > window)
-            .map(|(id, _)| id.clone())
+            .extract_if(|_, m| now.saturating_sub(m.last_event) > window)
             .collect();
-        for id in stale.drain(..) {
-            let msg = self.live.remove(&id).expect("stale id came from the map");
-            self.retire(now, &id, &msg);
+        stale.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        for (id, msg) in &stale {
+            self.retire(now, id, msg);
         }
         // Sweeping a quarter-window apart keeps the scan amortized O(1)
         // per event while bounding retirement latency.
@@ -573,9 +590,17 @@ impl WindowedChecker {
 impl WindowedChecker {
     /// Consumes one raw CAN controller event.
     pub fn push_can(&mut self, e: &TimedEvent<CanEvent>) {
-        if let Some(reading) = Reading::of(&e.event) {
-            self.push(e.at, &reading.event(e.node.index()));
-        }
+        let Some(reading) = Reading::of(&e.event) else {
+            return;
+        };
+        let node = e.node.index();
+        let mut msg = std::mem::take(&mut self.scratch);
+        self.record(e.at, |c, at| match reading {
+            Reading::Broadcast(frame) => c.broadcast(at, node, refill_msg_id(&mut msg, frame)),
+            Reading::Deliver(frame) => c.deliver(at, node, refill_msg_id(&mut msg, frame)),
+            Reading::Crash => c.crashed |= 1 << node,
+        });
+        self.scratch = msg;
     }
 }
 
@@ -815,6 +840,34 @@ mod tests {
             },
         );
         assert_eq!(c.live_len(), 1, "slow message retired");
+    }
+
+    #[test]
+    fn a_sweep_retires_in_msg_id_order() {
+        // Sixteen messages broadcast in descending order and never
+        // delivered retire in one sweep: the first violation names the
+        // lowest, whatever the live map's layout.
+        let mut c = WindowedChecker::new(2, 10);
+        for n in (1..=16u16).rev() {
+            c.push(
+                0,
+                &AbEvent::Broadcast {
+                    node: 0,
+                    msg: msg(n),
+                },
+            );
+        }
+        c.push(
+            100,
+            &AbEvent::Broadcast {
+                node: 1,
+                msg: msg(99),
+            },
+        );
+        assert_eq!(c.live_len(), 1, "the sixteen retired");
+        let (at, text) = c.first_violation().expect("flagged at retirement");
+        assert_eq!(*at, 100);
+        assert!(text.starts_with(&format!("{} ", msg(1))), "{text}");
     }
 
     #[test]

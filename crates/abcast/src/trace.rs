@@ -1,6 +1,8 @@
 //! Broadcast/delivery traces: the protocol-agnostic input of the checker.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies a broadcast message across the whole network.
 ///
@@ -8,7 +10,7 @@ use std::fmt;
 /// identifier is structural (channel number plus payload bytes) so that a
 /// retransmitted frame carries the same identity — which is exactly what
 /// makes double receptions visible to the checker.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MsgId {
     /// Logical channel (for CAN traces, the 11-bit frame identifier).
     pub channel: u16,
@@ -33,6 +35,54 @@ impl fmt::Display for MsgId {
             write!(f, "{b:02x}")?;
         }
         Ok(())
+    }
+}
+
+/// A hash map keyed by [`MsgId`], hashed with [`MsgHasher`]: the live
+/// sets of the online checker and the soak's latency tracker.
+pub type MsgMap<V> = HashMap<MsgId, V, BuildHasherDefault<MsgHasher>>;
+
+/// A small fixed multiply-rotate hasher for [`MsgMap`] keys: each word is
+/// added and multiplied by an odd constant, and `finish` rotates the
+/// well-mixed high bits down to where the table picks its bucket. It has
+/// no random seed, so a map's layout is the same on every run, and it is
+/// not meant to resist keys chosen to collide.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MsgHasher(u64);
+
+impl MsgHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for MsgHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.add(n.into());
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 

@@ -260,8 +260,11 @@ impl JobRunner {
         testbed.set_shutoff_at_warning(true);
         testbed.reset();
         // Drain past the horizon so frames released near its end still land.
+        // The clock counts the bits: a frame leapt across the horizon
+        // carries it past.
         testbed.drive_source(&mut workload, horizon);
-        let bits = horizon + testbed.run_until_quiescent(SETTLE_BITS, horizon);
+        testbed.run_until_quiescent(SETTLE_BITS, horizon);
+        let bits = testbed.now();
         let delivered = testbed
             .can_events()
             .iter()
@@ -476,6 +479,11 @@ mod tests {
         assert!(released >= 3, "{r:?}");
         // Every broadcast reaches the other n-1 nodes on a clean bus.
         assert_eq!(r.counters.get("delivered"), released * 2, "{r:?}");
+        // Measured on the testbed clock: the drive leaps the frame that
+        // straddles the 4,000-bit horizon and stops at bit 4,048, and the
+        // backlog drains and settles for 25 bits by bit 4,542. Adding the
+        // settle run's bits to the horizon would drop those 48.
+        assert_eq!(r.bits, 4_542, "{r:?}");
     }
 
     #[test]

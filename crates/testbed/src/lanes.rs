@@ -189,12 +189,20 @@ pub(crate) fn drained<N: BitNode, C: ChannelModel<N::Tag>>(sim: &Simulator<N, C>
     sim.nodes().all(|n| n.quiescent_until(now) == u64::MAX)
 }
 
+/// `true` when the run reached `budget` before the bus [`drained`]: it
+/// executed a prefix, so a clean verdict on it is truncated.
+pub(crate) fn cut_short<N: BitNode, C: ChannelModel<N::Tag>>(
+    sim: &Simulator<N, C>,
+    budget: u64,
+) -> bool {
+    sim.now() >= budget && !drained(sim)
+}
+
 /// The one grade of a run: `verdict` classified with `unfired` scripted
-/// entries, demoted to truncated when the run reached `budget` before
-/// the bus [`drained`].
+/// entries, demoted to truncated when the budget [`cut_short`] the run.
 #[inline]
 fn grade<N: Stack>(sim: &Sim<N>, verdict: Verdict, unfired: usize, budget: u64) -> Outcome {
-    classify(verdict, unfired).truncate_if(sim.now() >= budget && !drained(sim))
+    classify(verdict, unfired).truncate_if(cut_short(sim, budget))
 }
 
 /// [`grade`] with the verdict on the run's event log and the channel's

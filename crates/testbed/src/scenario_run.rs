@@ -22,6 +22,11 @@ pub struct ScenarioRun {
     pub unfired: Vec<Disturbance>,
     /// Number of nodes in the run.
     pub n_nodes: usize,
+    /// `true` when the budget ran out before the bus drained (the drain
+    /// test of every testbed grade): the run is a prefix, and
+    /// [`outcome`](ScenarioRun::outcome) grades a clean verdict on it
+    /// truncated.
+    pub truncated: bool,
 }
 
 impl ScenarioRun {
@@ -100,10 +105,11 @@ impl ScenarioRun {
     }
 
     /// Grades the run with the Atomic Broadcast checker and classifies it
-    /// into the shared [`Outcome`] vocabulary (the same classification the
-    /// falsifier's oracle applies).
+    /// into the shared [`Outcome`] vocabulary, demoting a clean verdict on
+    /// a [`truncated`](ScenarioRun::truncated) run: the grade the
+    /// falsifier's oracle applies.
     pub fn outcome(&self) -> Outcome {
         let verdict = check_can_events(&self.events, self.n_nodes).verdict();
-        classify(verdict, self.remaining())
+        classify(verdict, self.remaining()).truncate_if(self.truncated)
     }
 }

@@ -498,11 +498,14 @@ impl Testbed {
         })
     }
 
-    /// Steps the cluster for `horizon` bits, queueing every due release of
-    /// `source` on its node — a planned
+    /// Runs the cluster until its clock reaches `now + horizon`, queueing
+    /// every due release of `source` on its node — a planned
     /// [`Workload`](majorcan_workload::Workload) or a lazy soak stream —
-    /// and leaping every frame it can prove clean. Returns the number of
-    /// frames queued. Link-layer clusters only.
+    /// and leaping every frame it can prove clean. No frame starts at or
+    /// after `now + horizon`, but a leapt frame is carried whole, so the
+    /// clock can end up to one frame plus its intermission late (see
+    /// [`majorcan_workload::drive_source`]). Returns the number of frames
+    /// queued. Link-layer clusters only.
     pub fn drive_source<S: ReleaseSource + ?Sized>(
         &mut self,
         source: &mut S,
@@ -689,6 +692,7 @@ impl Testbed {
         link_sim!(&mut self.cluster, self.protocol, "run_script", sim => {
             let trace = sim.trace().cloned().unwrap_or_default();
             ScenarioRun {
+                truncated: lanes::cut_short(sim, self.budget),
                 events: sim.take_events(),
                 trace,
                 unfired: sim.channel().unfired(),

@@ -164,6 +164,29 @@ fn attack_run_cut_on_a_busy_bus_truncates() {
     assert_eq!(tb.outcome(), outcome);
 }
 
+/// A scripted run takes the same grade: `ScenarioRun::outcome` demotes a
+/// clean verdict when the budget cut the run before the bus drained. At
+/// budgets 1–10 the CAN bus is still integrating and nothing has been
+/// sent; at the last pre-drain bit every delivery has happened; one bit
+/// later the run is complete.
+#[test]
+fn scripted_run_cut_before_the_bus_drains_truncates() {
+    let protocol = ProtocolSpec::StandardCan;
+    let cut = last_truncated_budget(protocol);
+    let mut tb = Testbed::builder(protocol).nodes(3).build();
+    for budget in (1..=10).chain([cut, cut + 1]) {
+        tb.set_budget(budget);
+        let scripted = tb.run_script(&[]).outcome();
+        assert_eq!(scripted, tb.run_schedule(&[]), "budget {budget}");
+        let complete = budget > cut;
+        assert_eq!(
+            scripted,
+            Outcome::Consistent.truncate_if(!complete),
+            "budget {budget}"
+        );
+    }
+}
+
 /// The drain test reads the nodes' own quiescence promises, so it holds
 /// on a higher-level-protocol cluster too, layer timers included. The
 /// transmitter crashes right after its DATA frame succeeds: the bus falls

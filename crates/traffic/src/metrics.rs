@@ -2,10 +2,9 @@
 //! histograms and error-regime residency, all integer-valued so campaign
 //! artifacts stay bit-identical across worker counts and platforms.
 
-use majorcan_abcast::{msg_id_of, MsgId};
+use majorcan_abcast::{refill_msg_id, MsgId, MsgMap};
 use majorcan_can::CanEvent;
 use majorcan_sim::TimedEvent;
-use std::collections::BTreeMap;
 
 /// Buckets: exact below 16, then 16 log-linear sub-buckets per octave
 /// (≈6 % relative resolution) up to `2^63`.
@@ -128,7 +127,10 @@ impl Histogram {
 #[derive(Debug, Clone)]
 pub struct LatencyTracker {
     window: u64,
-    pending: BTreeMap<MsgId, u64>,
+    pending: MsgMap<u64>,
+    /// Refilled from each measured event's frame, so a lookup allocates
+    /// nothing.
+    scratch: MsgId,
     next_sweep: u64,
     peak_pending: usize,
     unmatched: u64,
@@ -149,7 +151,8 @@ impl LatencyTracker {
         assert!(window > 0, "window must be positive");
         LatencyTracker {
             window,
-            pending: BTreeMap::new(),
+            pending: MsgMap::default(),
+            scratch: MsgId::default(),
             next_sweep: window,
             peak_pending: 0,
             unmatched: 0,
@@ -166,16 +169,16 @@ impl LatencyTracker {
 
     /// Feeds one controller event.
     pub fn observe(&mut self, e: &TimedEvent<CanEvent>) {
-        match &e.event {
-            CanEvent::Delivered { frame, .. } => match self.pending.get(&msg_id_of(frame)) {
-                Some(&rel) => self.delivery.record(e.at.saturating_sub(rel)),
+        let measured = match &e.event {
+            CanEvent::Delivered { frame, .. } => Some((frame, &mut self.delivery)),
+            CanEvent::TxSucceeded { frame, .. } => Some((frame, &mut self.commit)),
+            _ => None,
+        };
+        if let Some((frame, histogram)) = measured {
+            match self.pending.get(refill_msg_id(&mut self.scratch, frame)) {
+                Some(&rel) => histogram.record(e.at.saturating_sub(rel)),
                 None => self.unmatched += 1,
-            },
-            CanEvent::TxSucceeded { frame, .. } => match self.pending.get(&msg_id_of(frame)) {
-                Some(&rel) => self.commit.record(e.at.saturating_sub(rel)),
-                None => self.unmatched += 1,
-            },
-            _ => {}
+            }
         }
         if e.at >= self.next_sweep {
             let horizon = e.at.saturating_sub(2 * self.window);
@@ -286,6 +289,7 @@ impl ResidencyTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use majorcan_abcast::msg_id_of;
     use majorcan_can::{DecisionBasis, Frame, FrameId};
     use majorcan_sim::NodeId;
 

@@ -239,8 +239,11 @@ pub fn plan_periodic_load(n_nodes: usize, load: f64, frame_bits: usize) -> Vec<P
         .collect()
 }
 
-/// Steps `sim` for `horizon` bits, queueing every due release of any
-/// [`ReleaseSource`] on its node. Returns the number of frames queued.
+/// Runs `sim` until its clock reaches `now + horizon`, queueing every due
+/// release of any [`ReleaseSource`] on its node. Returns the number of
+/// frames queued. No frame starts at or after `now + horizon`, but a
+/// frame the clean-frame leap carries is carried whole, so the clock can
+/// end up to one frame plus its intermission late.
 ///
 /// Two leaps keep this cheap, and both are bit-identical to stepping:
 /// state, events and timestamps are unchanged.
@@ -256,7 +259,8 @@ pub fn plan_periodic_load(n_nodes: usize, load: f64, frame_bits: usize) -> Vec<P
 ///   [`Simulator::quiet_horizon`]); a busy one steps a bit.
 ///
 /// So clean traffic costs time per frame, disturbed traffic per busy bit,
-/// and neither costs anything per idle bit. No leap crosses `horizon`.
+/// and neither costs anything per idle bit, wherever the caller's
+/// horizons fall.
 pub fn drive_source<N, C, S>(sim: &mut Simulator<N, C>, source: &mut S, horizon: u64) -> usize
 where
     N: BitNode + FrameSink,
@@ -268,7 +272,7 @@ where
     while sim.now() < end {
         let now = sim.now();
         queued += queue_due(sim, source, now + 1);
-        if sim.leap_frame(end) {
+        if sim.leap_frame(u64::MAX) {
             queued += queue_due(sim, source, sim.now());
             continue;
         }
@@ -437,9 +441,42 @@ mod tests {
         sim
     }
 
+    /// Asserts that a drive toward bit `end` ended there, or right after
+    /// the intermission of one frame that started before `end`: a leapt
+    /// frame's last event is the winner's commit on its last EOF bit, and
+    /// the bus is idle three bits later. So any overshoot is below one
+    /// frame plus intermission.
+    fn assert_at_most_one_frame_late<C: ChannelModel<majorcan_can::WirePos>>(
+        sim: &Simulator<Controller<StandardCan>, C>,
+        end: u64,
+    ) {
+        let now = sim.now();
+        assert!(now >= end, "the drive stopped at {now}, short of {end}");
+        if now == end {
+            return;
+        }
+        let last = |tx_started: bool| {
+            sim.events()
+                .iter()
+                .rev()
+                .find(|e| match e.event {
+                    CanEvent::TxStarted { .. } => tx_started,
+                    CanEvent::TxSucceeded { .. } => !tx_started,
+                    _ => false,
+                })
+                .map(|e| e.at)
+        };
+        assert!(
+            last(true).is_some_and(|sof| sof < end),
+            "a frame started at or after {end}"
+        );
+        assert_eq!(last(false).map(|commit| commit + 4), Some(now));
+    }
+
     /// The clean-stretch leap is bit-identical to stepping: a low-load
     /// workload (long idle gaps between frames) driven in soak-sized
-    /// chunks produces the same events at the same timestamps either way.
+    /// chunks produces the same events at the same timestamps either way,
+    /// the stepped side driven to wherever each leaping chunk ended.
     #[test]
     fn leap_fast_path_matches_bit_stepping() {
         let sources = plan_periodic_load(3, 0.08, 110);
@@ -453,13 +490,15 @@ mod tests {
         let mut slow = cluster(NoFaults);
         let (mut fq, mut sq) = (0, 0);
         for _ in 0..20 {
+            let end = fast.now() + 2_000;
             fq += drive_source(&mut fast, &mut fast_w, 2_000);
-            sq += drive_stepped(&mut slow, &mut slow_w, 2_000);
-            assert_eq!(fast.now(), slow.now());
+            assert_at_most_one_frame_late(&fast, end);
+            let behind = fast.now() - slow.now();
+            sq += drive_stepped(&mut slow, &mut slow_w, behind);
+            assert_eq!(fq, sq, "same releases queued by bit {}", fast.now());
+            assert_eq!(fast.events(), slow.events(), "identical timed event logs");
         }
-        assert_eq!(fq, sq, "same releases queued");
         assert!(fq > 0, "the workload released frames");
-        assert_eq!(fast.events(), slow.events(), "identical timed event logs");
         assert_eq!(
             fast.quiet_horizon(),
             u64::MAX,
@@ -495,18 +534,22 @@ mod tests {
     }
 
     /// Saturated traffic leaps frame by frame, but never while a trace
-    /// records: a trace must hold every bit.
+    /// records: a trace must hold every bit, so a recording drive ends
+    /// exactly at its horizon.
     #[test]
     fn frames_are_leapt_unless_a_trace_records() {
         let sources = plan_periodic_load(3, 0.9, 110);
         let releases: Vec<Release> = sources.iter().flat_map(|s| s.releases(4_000)).collect();
         let mut fast = cluster(NoFaults);
-        drive_source(&mut fast, &mut Workload::new(releases.clone()), 4_000);
+        let fq = drive_source(&mut fast, &mut Workload::new(releases.clone()), 4_000);
+        assert_at_most_one_frame_late(&fast, 4_000);
+        let bits = fast.now();
         let mut traced = cluster(NoFaults);
         traced.record_trace();
-        drive_source(&mut traced, &mut Workload::new(releases), 4_000);
+        let tq = drive_source(&mut traced, &mut Workload::new(releases), bits);
+        assert_eq!((fq, traced.now()), (tq, bits));
         assert_eq!(fast.events(), traced.events());
-        assert_eq!(traced.trace().map(|t| t.len()), Some(4_000));
+        assert_eq!(traced.trace().map(|t| t.len() as u64), Some(bits));
         let mut probe = cluster(NoFaults);
         probe
             .node_mut(NodeId(0))

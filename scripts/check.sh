@@ -190,8 +190,8 @@ echo "    seven results/ reports byte-identical"
 echo "==> E17 clean grid (10^6 frames per cell, 2 workers) against results/e17_clean.jsonl"
 # The committed clean soak grid must come back byte-identical (sorted:
 # the sink streams in completion order). The clean-frame leap carries
-# most of its 10^6-frame cells, so this takes about a minute on a
-# two-vCPU machine.
+# nearly every bit of its 10^6-frame cells, so this takes about 15 s on
+# a two-vCPU machine.
 cargo run -q --release -p majorcan-traffic --bin traffic -- \
     1000000 8 --seed 0x7AF1C --jobs 2 --quiet --out "$tmp/e17_clean.jsonl" >/dev/null
 sort "$tmp/e17_clean.jsonl" >"$tmp/e17_clean.sorted"
@@ -200,6 +200,20 @@ if ! sort results/e17_clean.jsonl | cmp -s - "$tmp/e17_clean.sorted"; then
     exit 1
 fi
 echo "    E17 clean grid byte-identical ($(wc -l <"$tmp/e17_clean.jsonl") cells)"
+
+echo "==> E17 bursty slice (2x10^4 frames per cell, 2 workers) against results/e17_bursts_20k.jsonl"
+# The impaired grid's path through the soak's chunk loop: error bursts,
+# retransmissions, bus-off and the leaps between bursts. Its cells flag
+# violations, hence --allow-violations. About 5 s in release.
+cargo run -q --release -p majorcan-traffic --bin traffic -- \
+    20000 8 --seed 0x7AF1C --jobs 2 --quiet --bursts --allow-violations \
+    --out "$tmp/e17_bursts.jsonl" >/dev/null 2>&1
+sort "$tmp/e17_bursts.jsonl" >"$tmp/e17_bursts.sorted"
+if ! sort results/e17_bursts_20k.jsonl | cmp -s - "$tmp/e17_bursts.sorted"; then
+    echo "FAIL: regenerated E17 bursty slice differs from results/e17_bursts_20k.jsonl" >&2
+    exit 1
+fi
+echo "    E17 bursty slice byte-identical ($(wc -l <"$tmp/e17_bursts.jsonl") cells)"
 
 echo "==> engine determinism smoke (same slice through lanes and scalar)"
 # The lane engine must report exactly what the scalar hot loop reports:
