@@ -9,51 +9,31 @@ use std::collections::BTreeSet;
 ///
 /// Retransmissions of the same frame map to the same [`MsgId`], which is
 /// what lets the checker recognise double receptions.
+#[inline]
 pub fn msg_id_of(frame: &Frame) -> MsgId {
-    MsgId::new(frame.id().raw(), frame.data().to_vec())
+    MsgId::new(frame.id().raw(), frame.data())
 }
 
-/// What one controller event means to the Atomic Broadcast checker.
-pub(crate) enum Reading<'a> {
-    /// A transmission attempt of the frame started.
-    Broadcast(&'a Frame),
-    /// The frame was delivered.
-    Deliver(&'a Frame),
-    /// The node crashed or went bus-off.
-    Crash,
-}
-
-impl<'a> Reading<'a> {
-    /// The *link-layer* reading of a controller event, which every CAN /
-    /// MinorCAN / MajorCAN grade applies (`TxSucceeded` is the
-    /// transmitter's self-delivery); the higher-level protocols read
-    /// their own events.
-    #[inline]
-    pub(crate) fn of(event: &'a CanEvent) -> Option<Self> {
-        match event {
-            CanEvent::TxStarted { frame, .. } => Some(Reading::Broadcast(frame)),
-            CanEvent::Delivered { frame, .. } | CanEvent::TxSucceeded { frame, .. } => {
-                Some(Reading::Deliver(frame))
+/// The *link-layer* reading of a controller event at `node`, which every
+/// CAN / MinorCAN / MajorCAN grade applies (`TxSucceeded` is the
+/// transmitter's self-delivery); the higher-level protocols read their
+/// own events.
+#[inline]
+pub(crate) fn ab_event_of(node: usize, event: &CanEvent) -> Option<AbEvent> {
+    Some(match event {
+        CanEvent::TxStarted { frame, .. } => AbEvent::Broadcast {
+            node,
+            msg: msg_id_of(frame),
+        },
+        CanEvent::Delivered { frame, .. } | CanEvent::TxSucceeded { frame, .. } => {
+            AbEvent::Deliver {
+                node,
+                msg: msg_id_of(frame),
             }
-            CanEvent::Crashed | CanEvent::WentBusOff => Some(Reading::Crash),
-            _ => None,
         }
-    }
-
-    /// The trace event this reading makes at `node`.
-    pub(crate) fn event(&self, node: usize) -> AbEvent {
-        match *self {
-            Reading::Broadcast(frame) => AbEvent::Broadcast {
-                node,
-                msg: msg_id_of(frame),
-            },
-            Reading::Deliver(frame) => AbEvent::Deliver {
-                node,
-                msg: msg_id_of(frame),
-            },
-            Reading::Crash => AbEvent::Crash { node },
-        }
-    }
+        CanEvent::Crashed | CanEvent::WentBusOff => AbEvent::Crash { node },
+        _ => return None,
+    })
 }
 
 /// Builds an [`AbTrace`] from a raw controller event log through the
@@ -63,10 +43,9 @@ pub fn trace_from_can_events(events: &[TimedEvent<CanEvent>], n_nodes: usize) ->
     let mut trace = AbTrace::new(n_nodes);
     let mut broadcast_seen: BTreeSet<(usize, MsgId)> = BTreeSet::new();
     for e in events {
-        let Some(reading) = Reading::of(&e.event) else {
+        let Some(event) = ab_event_of(e.node.index(), &e.event) else {
             continue;
         };
-        let event = reading.event(e.node.index());
         if let AbEvent::Broadcast { node, msg } = &event {
             if !broadcast_seen.insert((*node, msg.clone())) {
                 continue;
@@ -79,34 +58,18 @@ pub fn trace_from_can_events(events: &[TimedEvent<CanEvent>], n_nodes: usize) ->
 
 /// Grades a raw controller event log against AB1–AB5: the report of
 /// `trace_from_can_events(events, n_nodes).check()`, computed without
-/// building the trace. One scratch message is refilled per event, so the
-/// walk copies a message only the first time the accumulator sees it;
-/// the campaign hot paths grade every run through this.
+/// building the trace. The campaign hot paths grade every run through
+/// this.
 pub fn check_can_events(events: &[TimedEvent<CanEvent>], n_nodes: usize) -> Report {
     let mut acc = TraceAccumulator::new(n_nodes);
-    let mut msg = MsgId::default();
     for e in events {
-        let node = e.node.index();
-        match Reading::of(&e.event) {
-            // Every start, not only each node's first: the accumulator
-            // keeps a message's first broadcaster, the same either way.
-            Some(Reading::Broadcast(frame)) => acc.broadcast(node, refill_msg_id(&mut msg, frame)),
-            Some(Reading::Deliver(frame)) => acc.deliver(node, refill_msg_id(&mut msg, frame)),
-            Some(Reading::Crash) => acc.crash(node),
-            None => {}
+        // Every start, not only each node's first: the accumulator keeps
+        // a message's first broadcaster, the same either way.
+        if let Some(event) = ab_event_of(e.node.index(), &e.event) {
+            acc.push(&event);
         }
     }
     acc.finish()
-}
-
-/// Overwrites `msg` with [`msg_id_of`]`(frame)`, reusing its payload
-/// storage: a scratch message refilled per event looks a frame up
-/// without allocating.
-pub fn refill_msg_id<'a>(msg: &'a mut MsgId, frame: &Frame) -> &'a MsgId {
-    msg.channel = frame.id().raw();
-    msg.payload.clear();
-    msg.payload.extend_from_slice(frame.data());
-    msg
 }
 
 #[cfg(test)]

@@ -16,8 +16,7 @@
 //! the same verdict machinery judges raw CAN, MinorCAN, MajorCAN and the
 //! higher-level protocols.
 
-use crate::{AbEvent, AbTrace, MsgId};
-use std::collections::HashMap;
+use crate::{AbEvent, AbTrace, MsgId, MsgMap};
 use std::fmt;
 
 /// Outcome of one property.
@@ -194,9 +193,8 @@ impl fmt::Display for Report {
 ///
 /// Each distinct message gets a dense index on first sight, and every
 /// per-message fact is a vector slot under it, so a push costs one
-/// lookup and copies a message only the first time it is seen.
-/// [`finish`](TraceAccumulator::finish) reports in `MsgId` order and
-/// enumerates total-order violations in time proportional to the
+/// lookup. [`finish`](TraceAccumulator::finish) reports in `MsgId` order
+/// and enumerates total-order violations in time proportional to the
 /// deliveries plus the violations found, so a long consistent trace
 /// checks in linear time.
 #[derive(Debug, Clone, Default)]
@@ -208,7 +206,7 @@ pub struct TraceAccumulator {
     /// here is its dense index.
     msgs: Vec<MsgId>,
     /// Message → its dense index.
-    index: HashMap<MsgId, usize>,
+    index: MsgMap<usize>,
     /// Per message: the node of its first broadcast, if it had one.
     origin: Vec<Option<usize>>,
     /// Per message, per node (`msg * n_nodes + node`): delivery count.
@@ -230,52 +228,36 @@ impl TraceAccumulator {
 
     /// Consumes one event. Deliveries and crashes of nodes outside
     /// `0..n_nodes` are ignored: such a node is never correct, so no
-    /// property reads them.
+    /// property reads them. Only a message's first broadcast counts: its
+    /// node is the origin AB1 holds to account.
     pub fn push(&mut self, event: &AbEvent) {
-        match event {
-            AbEvent::Broadcast { node, msg } => self.broadcast(*node, msg),
-            AbEvent::Deliver { node, msg } => self.deliver(*node, msg),
-            AbEvent::Crash { node } => self.crash(*node),
-        }
-    }
-
-    /// `node` broadcast `msg`. Only a message's first broadcast counts:
-    /// its node is the origin AB1 holds to account.
-    pub(crate) fn broadcast(&mut self, node: usize, msg: &MsgId) {
-        let m = self.intern(msg);
-        self.origin[m].get_or_insert(node);
-    }
-
-    /// `msg` was delivered at `node`.
-    pub(crate) fn deliver(&mut self, node: usize, msg: &MsgId) {
-        if node >= self.n_nodes {
-            return;
-        }
-        let m = self.intern(msg);
-        let count = &mut self.counts[m * self.n_nodes + node];
-        *count += 1;
-        if *count == 1 {
-            self.order[node].push(m);
-        }
-    }
-
-    /// `node` crashed.
-    pub(crate) fn crash(&mut self, node: usize) {
-        if let Some(crashed) = self.crashed.get_mut(node) {
-            *crashed = true;
+        match *event {
+            AbEvent::Broadcast { node, ref msg } => {
+                let m = self.intern(msg);
+                self.origin[m].get_or_insert(node);
+            }
+            AbEvent::Deliver { node, ref msg } if node < self.n_nodes => {
+                let m = self.intern(msg);
+                let count = &mut self.counts[m * self.n_nodes + node];
+                *count += 1;
+                if *count == 1 {
+                    self.order[node].push(m);
+                }
+            }
+            AbEvent::Crash { node } if node < self.n_nodes => self.crashed[node] = true,
+            _ => {}
         }
     }
 
     /// The dense index of `msg`, assigned on first sight.
     fn intern(&mut self, msg: &MsgId) -> usize {
-        if let Some(&m) = self.index.get(msg) {
-            return m;
+        let fresh = self.msgs.len();
+        let m = *self.index.entry(msg.clone()).or_insert(fresh);
+        if m == fresh {
+            self.msgs.push(msg.clone());
+            self.origin.push(None);
+            self.counts.resize(self.counts.len() + self.n_nodes, 0);
         }
-        let m = self.msgs.len();
-        self.msgs.push(msg.clone());
-        self.origin.push(None);
-        self.counts.resize(self.counts.len() + self.n_nodes, 0);
-        self.index.insert(msg.clone(), m);
         m
     }
 

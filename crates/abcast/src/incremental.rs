@@ -48,14 +48,23 @@
 //! the number of incomplete retirements, each already a violation-in-waiting,
 //! so healthy soaks hold none.
 
-use crate::adapter::Reading;
-use crate::{refill_msg_id, AbEvent, MsgId, MsgMap, Report, Verdict};
+use crate::adapter::ab_event_of;
+use crate::{AbEvent, MsgId, MsgMap, Report, Verdict};
 use majorcan_can::CanEvent;
 use majorcan_sim::TimedEvent;
 use std::collections::BTreeMap;
 
 /// Most nodes a windowed checker supports (node sets are `u64` bitmasks).
 pub const MAX_NODES: usize = 64;
+
+/// `node`'s bit in a node set; a node past [`MAX_NODES`] has none.
+fn node_bit(node: usize) -> u64 {
+    if node < MAX_NODES {
+        1 << node
+    } else {
+        0
+    }
+}
 
 /// Per-message state while the message is inside the live window.
 #[derive(Debug, Clone)]
@@ -210,9 +219,6 @@ pub struct WindowedChecker {
     /// does not depend on the map's layout (`finish` returns only
     /// aggregates, which no order changes).
     live: MsgMap<LiveMsg>,
-    /// Refilled from the frame of each event [`push_can`](Self::push_can)
-    /// reads, so an event of a live message allocates nothing.
-    scratch: MsgId,
     peak_live: usize,
     max_observed_gap: u64,
     /// Next first-delivery rank per node.
@@ -258,7 +264,6 @@ impl WindowedChecker {
             next_sweep: window,
             crashed: 0,
             live: MsgMap::default(),
-            scratch: MsgId::default(),
             peak_live: 0,
             max_observed_gap: 0,
             next_rank: vec![0; n_nodes],
@@ -348,20 +353,21 @@ impl WindowedChecker {
 
     /// Consumes one timestamped event. Timestamps should be
     /// non-decreasing; a stale timestamp is clamped to the current time.
+    /// Deliveries and crashes of nodes outside `0..n_nodes` are ignored,
+    /// as [`TraceAccumulator::push`](crate::TraceAccumulator::push)
+    /// ignores them.
+    #[inline]
     pub fn push(&mut self, at: u64, event: &AbEvent) {
-        self.record(at, |c, at| match event {
-            AbEvent::Broadcast { node, msg } => c.broadcast(at, *node, msg),
-            AbEvent::Deliver { node, msg } => c.deliver(at, *node, msg),
-            AbEvent::Crash { node } => c.crashed |= 1 << node,
-        });
-    }
-
-    /// Applies one event at `at` (clamped to the current time), then
-    /// tracks the live set's peak and sweeps when due.
-    fn record(&mut self, at: u64, apply: impl FnOnce(&mut Self, u64)) {
         let at = at.max(self.now);
         self.now = at;
-        apply(self, at);
+        match *event {
+            AbEvent::Broadcast { node, ref msg } => self.broadcast(at, node, msg),
+            AbEvent::Deliver { node, ref msg } if node < self.n_nodes => {
+                self.deliver(at, node, msg)
+            }
+            AbEvent::Crash { node } if node < self.n_nodes => self.crashed |= 1 << node,
+            _ => {}
+        }
         self.peak_live = self.peak_live.max(self.live.len());
         if at >= self.next_sweep {
             self.sweep(at);
@@ -370,13 +376,10 @@ impl WindowedChecker {
 
     fn broadcast(&mut self, at: u64, node: usize, msg: &MsgId) {
         self.note_revival(at, msg);
-        let entry = match self.live.get_mut(msg) {
-            Some(entry) => entry,
-            None => self
-                .live
-                .entry(msg.clone())
-                .or_insert_with(|| LiveMsg::new(self.n_nodes, at)),
-        };
+        let entry = self
+            .live
+            .entry(msg.clone())
+            .or_insert_with(|| LiveMsg::new(self.n_nodes, at));
         if entry.origin.is_none() {
             entry.origin = Some(node);
         }
@@ -393,13 +396,10 @@ impl WindowedChecker {
         self.note_revival(at, msg);
         let n = self.n_nodes;
         let bit = 1u64 << node;
-        let entry = match self.live.get_mut(msg) {
-            Some(entry) => entry,
-            None => self
-                .live
-                .entry(msg.clone())
-                .or_insert_with(|| LiveMsg::new(n, at)),
-        };
+        let entry = self
+            .live
+            .entry(msg.clone())
+            .or_insert_with(|| LiveMsg::new(n, at));
         self.max_observed_gap = self.max_observed_gap.max(at - entry.last_event);
         entry.last_event = at;
         if entry.delivered & bit != 0 {
@@ -478,19 +478,14 @@ impl WindowedChecker {
         // An incomplete message could see more events; if one arrives the
         // window precondition failed. Complete messages can only recur as
         // a re-delivery, which the fresh entry flags as spurious anyway.
-        let all = if self.n_nodes == MAX_NODES {
-            u64::MAX
-        } else {
-            (1u64 << self.n_nodes) - 1
-        };
-        if msg.origin.is_none() || msg.delivered != all {
+        if msg.origin.is_none() || msg.delivered != self.all_nodes() {
             self.suspects.insert(id.clone(), msg.last_event);
         }
         // Provisional online flagging against the crash set known now;
         // the exact verdict against the final crash set comes at finish().
         let correct = self.correct_mask();
         if let Some(origin) = msg.origin {
-            if correct & (1 << origin) != 0 && msg.delivered & correct == 0 {
+            if correct & node_bit(origin) != 0 && msg.delivered & correct == 0 {
                 let text = format!("{id} broadcast by n{origin} but delivered to no correct node");
                 self.flag(now, || text);
             }
@@ -505,13 +500,17 @@ impl WindowedChecker {
         }
     }
 
-    fn correct_mask(&self) -> u64 {
-        let all = if self.n_nodes == 64 {
+    /// Every node of the system, `0..n_nodes`.
+    fn all_nodes(&self) -> u64 {
+        if self.n_nodes == MAX_NODES {
             u64::MAX
         } else {
-            (1u64 << self.n_nodes) - 1
-        };
-        all & !self.crashed
+            (1 << self.n_nodes) - 1
+        }
+    }
+
+    fn correct_mask(&self) -> u64 {
+        self.all_nodes() & !self.crashed
     }
 
     /// Evaluates the aggregates against a correct-node mask.
@@ -519,7 +518,7 @@ impl WindowedChecker {
         let retired = &self.retired;
         let mut validity = 0;
         for (&(origin, delivered), &count) in &retired.broadcast {
-            if correct & (1 << origin) != 0 && delivered & correct == 0 {
+            if correct & node_bit(origin) != 0 && delivered & correct == 0 {
                 validity += count;
             }
         }
@@ -590,17 +589,9 @@ impl WindowedChecker {
 impl WindowedChecker {
     /// Consumes one raw CAN controller event.
     pub fn push_can(&mut self, e: &TimedEvent<CanEvent>) {
-        let Some(reading) = Reading::of(&e.event) else {
-            return;
-        };
-        let node = e.node.index();
-        let mut msg = std::mem::take(&mut self.scratch);
-        self.record(e.at, |c, at| match reading {
-            Reading::Broadcast(frame) => c.broadcast(at, node, refill_msg_id(&mut msg, frame)),
-            Reading::Deliver(frame) => c.deliver(at, node, refill_msg_id(&mut msg, frame)),
-            Reading::Crash => c.crashed |= 1 << node,
-        });
-        self.scratch = msg;
+        if let Some(event) = ab_event_of(e.node.index(), &e.event) {
+            self.push(e.at, &event);
+        }
     }
 }
 
@@ -876,7 +867,7 @@ mod tests {
         // never grows with stream length.
         let mut c = WindowedChecker::new(3, 64);
         for i in 0..10_000u32 {
-            let m = MsgId::new(0x100, i.to_be_bytes().to_vec());
+            let m = MsgId::new(0x100, i.to_be_bytes());
             let at = i as u64 * 16;
             c.push(
                 at,
@@ -932,6 +923,60 @@ mod tests {
         let p = c.provisional();
         assert_eq!(p.imo_messages, 0, "in-flight message not judged");
         assert_eq!(c.finish().imo_messages, 1, "finish judges it");
+    }
+
+    #[test]
+    fn nodes_outside_the_system_are_ignored_as_the_reference_ignores_them() {
+        // A two-node system hears from node 3, past its own nodes, and
+        // from nodes 64 and 200, past any node set: a's origin is outside,
+        // b is delivered only outside, c is delivered to n0 alone. Each
+        // message's events lie 100 bits after the last message's.
+        let (a, b, c) = (msg(1), msg(2), msg(3));
+        let broadcast = |node, msg: &MsgId| AbEvent::Broadcast {
+            node,
+            msg: msg.clone(),
+        };
+        let deliver = |node, msg: &MsgId| AbEvent::Deliver {
+            node,
+            msg: msg.clone(),
+        };
+        let events = [
+            (0, broadcast(3, &a)),
+            (1, deliver(0, &a)),
+            (2, deliver(3, &a)),
+            (3, deliver(1, &a)),
+            (100, broadcast(0, &b)),
+            (101, deliver(64, &b)),
+            (102, deliver(200, &b)),
+            (200, broadcast(64, &c)),
+            (201, deliver(0, &c)),
+            (300, AbEvent::Crash { node: 3 }),
+            (301, AbEvent::Crash { node: 64 }),
+            (302, AbEvent::Crash { node: 200 }),
+        ];
+        let mut reference = crate::TraceAccumulator::new(2);
+        for (_, event) in &events {
+            reference.push(event);
+        }
+        let posthoc = reference.finish();
+        assert_eq!(
+            (posthoc.validity.violations.len(), &posthoc.imo_messages[..]),
+            (1, &[c][..]),
+            "b reached no correct node, c missed n1: {posthoc:?}"
+        );
+        // A 50-bit window retires each message when the next one starts;
+        // a 1,000-bit one keeps them all live until `finish`.
+        for window in [50, 1_000] {
+            let mut checker = WindowedChecker::new(2, window);
+            for (at, event) in &events {
+                checker.push(*at, event);
+            }
+            let online = checker.finish();
+            assert!(
+                online.matches(&posthoc) && online.exact(),
+                "window {window}: online {online:?} vs post-hoc {posthoc:?}"
+            );
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod incremental;
 mod render;
 mod trace;
 
-pub use adapter::{check_can_events, msg_id_of, refill_msg_id, trace_from_can_events};
+pub use adapter::{check_can_events, msg_id_of, trace_from_can_events};
 pub use checker::{check_trace, PropertyResult, Report, TraceAccumulator, Verdict};
 pub use incremental::{OnlineReport, WindowedChecker, MAX_NODES};
 pub use render::render_delivery_matrix;

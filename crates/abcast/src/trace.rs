@@ -2,7 +2,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// A CAN data field's byte cap, which bounds every message payload.
+const PAYLOAD_CAP: usize = 8;
 
 /// Identifies a broadcast message across the whole network.
 ///
@@ -10,36 +13,77 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// identifier is structural (channel number plus payload bytes) so that a
 /// retransmitted frame carries the same identity — which is exactly what
 /// makes double receptions visible to the checker.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The payload is held inline, zero-padded to 8 bytes, so a `MsgId` owns
+/// no heap data. The derived order compares the channel, then the padded
+/// bytes, then the length: exactly the order of the `(channel, payload)`
+/// pair, since padding sorts a payload before its extensions and the
+/// length tells trailing zero bytes from padding.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MsgId {
     /// Logical channel (for CAN traces, the 11-bit frame identifier).
     pub channel: u16,
-    /// Message payload bytes.
-    pub payload: Vec<u8>,
+    bytes: [u8; PAYLOAD_CAP],
+    len: u8,
 }
 
 impl MsgId {
     /// Creates a message identity from channel and payload.
-    pub fn new(channel: u16, payload: impl Into<Vec<u8>>) -> MsgId {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` is longer than 8 bytes, a CAN data field.
+    pub fn new(channel: u16, payload: impl AsRef<[u8]>) -> MsgId {
+        let payload = payload.as_ref();
+        assert!(
+            payload.len() <= PAYLOAD_CAP,
+            "a message payload holds at most {PAYLOAD_CAP} bytes, not {}",
+            payload.len()
+        );
+        let mut bytes = [0; PAYLOAD_CAP];
+        bytes[..payload.len()].copy_from_slice(payload);
         MsgId {
             channel,
-            payload: payload.into(),
+            bytes,
+            len: payload.len() as u8,
         }
+    }
+
+    /// Message payload bytes.
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl Hash for MsgId {
+    /// Two words: channel and length, then the padded payload.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64((u64::from(self.channel) << 8) | u64::from(self.len));
+        state.write_u64(u64::from_le_bytes(self.bytes));
+    }
+}
+
+impl fmt::Debug for MsgId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MsgId")
+            .field("channel", &self.channel)
+            .field("payload", &self.payload())
+            .finish()
     }
 }
 
 impl fmt::Display for MsgId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:#05x}#", self.channel)?;
-        for b in &self.payload {
+        for b in self.payload() {
             write!(f, "{b:02x}")?;
         }
         Ok(())
     }
 }
 
-/// A hash map keyed by [`MsgId`], hashed with [`MsgHasher`]: the live
-/// sets of the online checker and the soak's latency tracker.
+/// A hash map keyed by [`MsgId`], hashed with [`MsgHasher`]: the message
+/// indexes of both checkers and the soak's latency tracker.
 pub type MsgMap<V> = HashMap<MsgId, V, BuildHasherDefault<MsgHasher>>;
 
 /// A small fixed multiply-rotate hasher for [`MsgMap`] keys: each word is
@@ -50,34 +94,22 @@ pub type MsgMap<V> = HashMap<MsgId, V, BuildHasherDefault<MsgHasher>>;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MsgHasher(u64);
 
-impl MsgHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = self
-            .0
-            .wrapping_add(word)
-            .wrapping_mul(0xf135_7aea_2e62_a9c5);
-    }
-}
-
 impl Hasher for MsgHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for chunk in bytes.chunks(8) {
             let mut word = [0; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
 
     #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add(n.into());
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
     }
 
     #[inline]
@@ -244,6 +276,7 @@ impl Extend<Stamped> for AbTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn msg_id_identity_and_display() {
@@ -253,6 +286,50 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.to_string(), "0x042#0102");
+        assert_eq!(a.payload(), [1, 2]);
+    }
+
+    #[test]
+    fn a_payload_sorts_before_its_extensions() {
+        let ids = [&[1][..], &[1, 0], &[1, 0, 5], &[1, 2]].map(|p| MsgId::new(7, p));
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        assert!(MsgId::new(6, [0xFF; 8]) < MsgId::new(7, []));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 bytes")]
+    fn rejects_a_payload_past_a_can_data_field() {
+        MsgId::new(1, [0; 9]);
+    }
+
+    /// The `(channel, payload)` pair a message stands for, ordered and
+    /// printed the way a `MsgId` must be.
+    fn pair_text((channel, payload): &(u16, Vec<u8>)) -> String {
+        let bytes: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+        format!("{channel:#05x}#{bytes}")
+    }
+
+    /// Payloads of 0–8 bytes over a small alphabet, so prefixes, trailing
+    /// zeros and equal pairs come up often.
+    fn arb_pair() -> impl Strategy<Value = (u16, Vec<u8>)> {
+        let byte = prop_oneof![0u8..3, any::<u8>()];
+        (
+            prop_oneof![0u16..3, any::<u16>()],
+            proptest::collection::vec(byte, 0..=PAYLOAD_CAP),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn msg_ids_compare_order_and_print_as_their_pairs(a in arb_pair(), b in arb_pair()) {
+            let (x, y) = (MsgId::new(a.0, &a.1), MsgId::new(b.0, &b.1));
+            prop_assert_eq!(x == y, a == b);
+            prop_assert_eq!(x.cmp(&y), a.cmp(&b));
+            prop_assert_eq!(x.to_string(), pair_text(&a));
+            prop_assert_eq!(x.payload(), &a.1[..]);
+        }
     }
 
     #[test]

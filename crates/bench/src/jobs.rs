@@ -18,7 +18,6 @@
 //! | `validity` | trials violating AB1 Validity |
 //! | `verdict/<token>` | per-trial *worst* verdict (see [`majorcan_abcast::Verdict::token`]) |
 //! | `retx` | retransmissions scheduled across all trials |
-//! | `released` / `delivered` | periodic-load traffic accounting |
 //!
 //! Property counters (`imo`, `double`, `validity`) are independent — one
 //! trial can increment several — while the `verdict/…` family partitions
@@ -108,9 +107,6 @@ impl JobRunner {
                 for trial in 0..job.frames {
                     self.single_broadcast_trial(job, trial, &mut out);
                 }
-            }
-            WorkloadSpec::PeriodicLoad { load, horizon } => {
-                self.periodic_load_trial(job, load, horizon, &mut out);
             }
             WorkloadSpec::SustainedTraffic { .. } => panic!(
                 "job {}: sustained-traffic jobs are interpreted by the \
@@ -244,38 +240,6 @@ impl JobRunner {
         out.bits += bits;
         grade(&events, job.n_nodes, out);
     }
-
-    fn periodic_load_trial(&mut self, job: &Job, load: f64, horizon: u64, out: &mut JobResult) {
-        assert!(
-            matches!(job.fault, FaultSpec::None),
-            "job {}: periodic-load jobs model a clean bus (fault {:?} unsupported)",
-            job.id,
-            job.fault
-        );
-        let frame_bits = clean_frame_bits(job.protocol);
-        let sources = majorcan_workload::plan_periodic_load(job.n_nodes, load, frame_bits as usize);
-        let mut workload = majorcan_workload::Workload::from_periodic(&sources, horizon);
-        let released = workload.len() as u64;
-        let testbed = self.testbed_for(job.protocol, job.n_nodes);
-        testbed.set_shutoff_at_warning(true);
-        testbed.reset();
-        // Drain past the horizon so frames released near its end still land.
-        // The clock counts the bits: a frame leapt across the horizon
-        // carries it past.
-        testbed.drive_source(&mut workload, horizon);
-        testbed.run_until_quiescent(SETTLE_BITS, horizon);
-        let bits = testbed.now();
-        let delivered = testbed
-            .can_events()
-            .iter()
-            .filter(|e| matches!(e.event, CanEvent::Delivered { .. }))
-            .count() as u64;
-        out.frames += released;
-        out.bits += bits;
-        out.counters.add("released", released);
-        out.counters.add("delivered", delivered);
-        grade(testbed.can_events(), job.n_nodes, out);
-    }
 }
 
 /// Executes one campaign job on a one-shot [`JobRunner`] (see
@@ -317,23 +281,6 @@ fn tail_geometry(protocol: ProtocolSpec) -> (usize, usize) {
         ProtocolSpec::MinorCan => of(&MinorCan),
         ProtocolSpec::MajorCan { m } => of(&MajorCan::new(m).expect("validated by run_job")),
         other => panic!("no link geometry for higher-level protocol {other}"),
-    }
-}
-
-/// Clean-bus bits of one [`trial_frame`] broadcast under `protocol`
-/// (the periodic-load release-period unit).
-fn clean_frame_bits(protocol: ProtocolSpec) -> u64 {
-    let frame = trial_frame();
-    match protocol {
-        ProtocolSpec::StandardCan => {
-            crate::overhead::measure_clean_frame_bits_of(&StandardCan, &frame)
-        }
-        ProtocolSpec::MinorCan => crate::overhead::measure_clean_frame_bits_of(&MinorCan, &frame),
-        ProtocolSpec::MajorCan { m } => crate::overhead::measure_clean_frame_bits_of(
-            &MajorCan::new(m).expect("validated by run_job"),
-            &frame,
-        ),
-        other => panic!("no clean-frame measurement for higher-level protocol {other}"),
     }
 }
 
@@ -424,18 +371,6 @@ mod tests {
                 4,
                 10,
             ),
-            Job::new(
-                3,
-                10,
-                ProtocolSpec::StandardCan,
-                FaultSpec::None,
-                WorkloadSpec::PeriodicLoad {
-                    load: 0.4,
-                    horizon: 3_000,
-                },
-                3,
-                1,
-            ),
         ];
         let mut runner = JobRunner::new();
         for job in &jobs {
@@ -458,32 +393,6 @@ mod tests {
         assert_eq!(r.counters.get("verdict/consistent"), 3);
         assert_eq!(r.counters.get("imo"), 0);
         assert_eq!(r.counters.get("retx"), 0);
-    }
-
-    #[test]
-    fn periodic_load_job_delivers_traffic() {
-        let job = Job::new(
-            2,
-            2,
-            ProtocolSpec::StandardCan,
-            FaultSpec::None,
-            WorkloadSpec::PeriodicLoad {
-                load: 0.5,
-                horizon: 4_000,
-            },
-            3,
-            1,
-        );
-        let r = run_job(&job);
-        let released = r.counters.get("released");
-        assert!(released >= 3, "{r:?}");
-        // Every broadcast reaches the other n-1 nodes on a clean bus.
-        assert_eq!(r.counters.get("delivered"), released * 2, "{r:?}");
-        // Measured on the testbed clock: the drive leaps the frame that
-        // straddles the 4,000-bit horizon and stops at bit 4,048, and the
-        // backlog drains and settles for 25 bits by bit 4,542. Adding the
-        // settle run's bits to the horizon would drop those 48.
-        assert_eq!(r.bits, 4_542, "{r:?}");
     }
 
     #[test]

@@ -311,14 +311,6 @@ impl FaultSpec {
 pub enum WorkloadSpec {
     /// Node 0 broadcasts one reference frame per trial on a fresh bus.
     SingleBroadcast,
-    /// Every node runs a periodic source at a joint target `load` for
-    /// `horizon` bit times (one trial per job).
-    PeriodicLoad {
-        /// Joint bus load in `(0, 1]`.
-        load: f64,
-        /// Simulated bit times per trial.
-        horizon: u64,
-    },
     /// Streaming mixed periodic/sporadic traffic releasing `frames`
     /// frames at joint target `load`, with `sporadic_permille` ‰ of the
     /// load carried by Poisson senders and the rest by jittered periodic
@@ -342,10 +334,6 @@ impl WorkloadSpec {
         let (name, f) = split_debug(text)?;
         match name {
             "SingleBroadcast" => Some(WorkloadSpec::SingleBroadcast),
-            "PeriodicLoad" => Some(WorkloadSpec::PeriodicLoad {
-                load: debug_field(&f, "load", |v| v.parse().ok())?,
-                horizon: debug_field(&f, "horizon", |v| v.parse().ok())?,
-            }),
             "SustainedTraffic" => Some(WorkloadSpec::SustainedTraffic {
                 load: debug_field(&f, "load", |v| v.parse().ok())?,
                 frames: debug_field(&f, "frames", |v| v.parse().ok())?,
@@ -794,10 +782,6 @@ mod tests {
     fn every_workload_spec_round_trips_through_debug() {
         let specs = [
             WorkloadSpec::SingleBroadcast,
-            WorkloadSpec::PeriodicLoad {
-                load: 0.35,
-                horizon: 200_000,
-            },
             WorkloadSpec::SustainedTraffic {
                 load: 0.5,
                 frames: 1000,
@@ -808,7 +792,7 @@ mod tests {
             let text = format!("{spec:?}");
             assert_eq!(WorkloadSpec::from_debug(&text), Some(spec), "{text}");
         }
-        assert_eq!(WorkloadSpec::from_debug("PeriodicLoad"), None);
+        assert_eq!(WorkloadSpec::from_debug("SustainedTraffic"), None);
     }
 
     #[test]

@@ -7,7 +7,12 @@ use majorcan_sim::TimedEvent;
 
 /// The message identity of a protocol broadcast, for the AB checker:
 /// channel = origin node, payload = sequence number bytes followed by the
-/// user payload.
+/// user payload, which therefore holds at most 6 bytes (a [`MsgId`]
+/// payload holds 8).
+///
+/// # Panics
+///
+/// Panics if `payload` is longer than 6 bytes.
 pub fn msg_id_of_broadcast(origin: u8, seq: u16, payload: &[u8]) -> MsgId {
     let mut bytes = seq.to_be_bytes().to_vec();
     bytes.extend_from_slice(payload);

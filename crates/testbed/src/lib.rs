@@ -1,8 +1,8 @@
 //! # majorcan-testbed — one way to build and run a protocol cluster
 //!
 //! Every experiment path in the workspace — paper scenario reproductions,
-//! the falsifier's oracle, Monte-Carlo campaign jobs, periodic-load
-//! workloads and the HLP probes — assembles the same thing: N protocol
+//! the falsifier's oracle, Monte-Carlo campaign jobs, the traffic soaks
+//! and the HLP probes — assembles the same thing: N protocol
 //! nodes on a wired-AND bus behind a fault channel, run for a bit budget
 //! and graded by the Atomic Broadcast checker. This crate is that
 //! assembly, once:

@@ -263,8 +263,8 @@ fn hlp_cluster<L: majorcan_hlp::HlpLayer, F: Fn() -> L>(
 ///
 /// `Testbed` is the one way every experiment path builds and runs a bus:
 /// the paper scenarios, the falsifier's oracle, the Monte-Carlo campaign
-/// jobs, the periodic-load workload driver and the HLP probes all route
-/// through it. Reuse is the performance core — [`Testbed::reset_with`] /
+/// jobs, the traffic soaks and the HLP probes all route through it.
+/// Reuse is the performance core — [`Testbed::reset_with`] /
 /// [`Testbed::load_script`] rewind the cluster without reallocating, so a
 /// campaign worker amortizes one allocation over thousands of runs.
 ///

@@ -2,7 +2,7 @@
 //! histograms and error-regime residency, all integer-valued so campaign
 //! artifacts stay bit-identical across worker counts and platforms.
 
-use majorcan_abcast::{refill_msg_id, MsgId, MsgMap};
+use majorcan_abcast::{msg_id_of, MsgId, MsgMap};
 use majorcan_can::CanEvent;
 use majorcan_sim::TimedEvent;
 
@@ -128,9 +128,6 @@ impl Histogram {
 pub struct LatencyTracker {
     window: u64,
     pending: MsgMap<u64>,
-    /// Refilled from each measured event's frame, so a lookup allocates
-    /// nothing.
-    scratch: MsgId,
     next_sweep: u64,
     peak_pending: usize,
     unmatched: u64,
@@ -152,7 +149,6 @@ impl LatencyTracker {
         LatencyTracker {
             window,
             pending: MsgMap::default(),
-            scratch: MsgId::default(),
             next_sweep: window,
             peak_pending: 0,
             unmatched: 0,
@@ -175,7 +171,7 @@ impl LatencyTracker {
             _ => None,
         };
         if let Some((frame, histogram)) = measured {
-            match self.pending.get(refill_msg_id(&mut self.scratch, frame)) {
+            match self.pending.get(&msg_id_of(frame)) {
                 Some(&rel) => histogram.record(e.at.saturating_sub(rel)),
                 None => self.unmatched += 1,
             }
@@ -289,7 +285,6 @@ impl ResidencyTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use majorcan_abcast::msg_id_of;
     use majorcan_can::{DecisionBasis, Frame, FrameId};
     use majorcan_sim::NodeId;
 

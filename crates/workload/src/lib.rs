@@ -4,8 +4,8 @@
 //! the throughput and stress experiments need that traffic reproduced. This
 //! crate provides:
 //!
-//! * [`PeriodicSource`] / [`PoissonSource`] — per-node frame sources with
-//!   unique `(origin, seq)` payload tagging;
+//! * [`PeriodicSource`] — a per-node periodic frame source with unique
+//!   `(origin, seq)` payload tagging;
 //! * [`Workload`] — a schedule of sources releasing frames over simulated
 //!   bit time;
 //! * [`plan_periodic_load`] — source periods hitting a target bus load,
@@ -25,8 +25,6 @@ pub use stats::BusStats;
 
 use majorcan_can::{Controller, Frame, FrameId, Variant};
 use majorcan_sim::{BitNode, ChannelModel, NodeId, Simulator};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Anything that can accept frames for transmission — implemented for the
 /// CAN controller so workload drivers stay generic over protocol variants.
@@ -96,51 +94,6 @@ impl PeriodicSource {
     }
 }
 
-/// A Poisson frame source with exponential inter-release times.
-#[derive(Debug, Clone)]
-pub struct PoissonSource {
-    /// Emitting node index.
-    pub node: usize,
-    /// Frame identifier used by this source.
-    pub id: FrameId,
-    /// Mean inter-release gap in bit times.
-    pub mean_gap: f64,
-    /// RNG seed (per-source, so workloads are reproducible).
-    pub seed: u64,
-    /// Extra payload bytes beyond the 4-byte tag (0–4).
-    pub extra_len: usize,
-}
-
-impl PoissonSource {
-    /// Releases within `[0, horizon)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_gap` is not positive.
-    pub fn releases(&self, horizon: u64) -> Vec<Release> {
-        assert!(self.mean_gap > 0.0, "mean gap must be positive");
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut out = Vec::new();
-        let mut at = 0f64;
-        let mut seq = 0u32;
-        loop {
-            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            at += -u.ln() * self.mean_gap;
-            if at >= horizon as f64 {
-                break;
-            }
-            out.push(Release {
-                at: at as u64,
-                node: self.node,
-                frame: Frame::new(self.id, &tagged_payload(self.node, seq, self.extra_len))
-                    .expect("workload frames are valid"),
-            });
-            seq += 1;
-        }
-        out
-    }
-}
-
 /// A stream of frame releases consumed in time order.
 ///
 /// [`Workload`] implements this over a pre-computed, sorted vector; the
@@ -170,12 +123,6 @@ impl Workload {
             releases,
             cursor: 0,
         }
-    }
-
-    /// Builds the merged schedule of `sources` over `[0, horizon)` — the
-    /// common "every node streams periodically" setup in one call.
-    pub fn from_periodic(sources: &[PeriodicSource], horizon: u64) -> Workload {
-        Workload::new(sources.iter().flat_map(|s| s.releases(horizon)).collect())
     }
 
     /// Total number of releases.
@@ -327,21 +274,6 @@ mod tests {
         let payloads: std::collections::BTreeSet<_> =
             rel.iter().map(|r| r.frame.data().to_vec()).collect();
         assert_eq!(payloads.len(), 4, "sequence numbers make payloads unique");
-    }
-
-    #[test]
-    fn poisson_mean_gap_roughly_respected() {
-        let src = PoissonSource {
-            node: 0,
-            id: FrameId::new(0x20).unwrap(),
-            mean_gap: 500.0,
-            seed: 11,
-            extra_len: 0,
-        };
-        let rel = src.releases(2_000_000);
-        let n = rel.len() as f64;
-        let expected = 2_000_000.0 / 500.0;
-        assert!((n - expected).abs() < expected * 0.1, "n={n}");
     }
 
     #[test]

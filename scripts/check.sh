@@ -37,6 +37,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 if [[ "$fast" -eq 0 ]]; then
     echo "==> cargo test --workspace"
     cargo test --workspace -q
+    echo "==> cargo test --workspace --release (release-scaled test configurations)"
+    # Tests that read cfg!(debug_assertions) run their full configuration
+    # only here: the 32-node 90 %-load reference scale, the full-stride
+    # two-error enumeration, the Monte-Carlo statistics, the 150-frame
+    # leap equivalence cases and the random soaks.
+    cargo test --workspace --release -q
     echo "==> cargo test (perfbench: traced drivers replay the library's entry points)"
     cargo test --offline --manifest-path perfbench/Cargo.toml
 fi
